@@ -61,7 +61,7 @@ pub use membench::{mem_bandwidth, standard_buffer_sizes, TOTAL_TRAFFIC};
 pub use multiuser::{
     pipe_rtt_us_multiuser, pipe_rtt_us_singleuser, run_multiuser, syscall_us_multiuser,
 };
-pub use nfsmab::{mab_over_nfs, mab_over_nfs_faulty};
+pub use nfsmab::mab_over_nfs;
 pub use procbench::{fork_exec_us, fork_exit_us};
 pub use ttcp::{packet_sizes, udp_bandwidth_mbit, TTCP_TOTAL};
 

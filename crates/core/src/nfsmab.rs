@@ -12,26 +12,12 @@ use crate::machine::ResultSlot;
 use tnt_fs::{Disk, DiskParams, FsParams, SimFs};
 use tnt_net::Net;
 use tnt_nfs::{serve, NfsClient, NfsServerConfig};
-use tnt_os::{boot_cluster_with_faults, Os};
-use tnt_sim::fault::FaultProfile;
+use tnt_os::{boot_cluster, Os};
 
 /// Runs MAB on `client_os` against an NFS server running `server_os`
 /// (Table 6: `Os::Linux` server; Table 7: `Os::SunOs`).
 pub fn mab_over_nfs(client_os: Os, server_os: Os, seed: u64) -> MabReport {
-    mab_over_nfs_faulty(client_os, server_os, seed, tnt_sim::fault::ambient())
-}
-
-/// [`mab_over_nfs`] under an explicit fault profile — the degradation
-/// experiment (`x8`) sweeps RPC drop rates through here, bypassing the
-/// process-wide ambient profile so its curve is the same whatever
-/// `--faults` the rest of the run uses.
-pub fn mab_over_nfs_faulty(
-    client_os: Os,
-    server_os: Os,
-    seed: u64,
-    faults: FaultProfile,
-) -> MabReport {
-    let (sim, kernels) = boot_cluster_with_faults(&[client_os, server_os], seed, faults);
+    let (sim, kernels) = boot_cluster(&[client_os, server_os], seed);
     let client_k = kernels[0].clone();
     let server_k = kernels[1].clone();
 

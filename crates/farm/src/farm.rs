@@ -26,10 +26,9 @@ use parking_lot::Mutex;
 
 use tnt_fs::FsParams;
 use tnt_net::{Delivery, NetCosts, Switch};
-use tnt_os::{boot_cluster, boot_cluster_with_faults, Kernel, Os, OsCosts, UProc};
-use tnt_sim::fault::FaultProfile;
+use tnt_os::{boot_cluster, Os, OsCosts, UProc};
 use tnt_sim::proc::{block_any, LiteProc, LiteScheduler, ProcCtx, Step, Wake, WaitReason};
-use tnt_sim::{Cycles, Sim, WaitId, CPU_HZ};
+use tnt_sim::{Cycles, WaitId, CPU_HZ};
 
 use crate::hist::LatHist;
 use crate::load::Arrivals;
@@ -463,21 +462,10 @@ fn worker_loop(p: &UProc, env: &Arc<Env>) {
     }
 }
 
-/// Runs the farm under the ambient fault profile (whatever the harness
-/// armed — `--faults off` draws nothing).
+/// Runs the farm under the calling thread's fault profile (see
+/// `tnt_sim::Instruments`; `--faults off` draws nothing).
 pub fn run_farm(cfg: &FarmConfig) -> FarmReport {
     let (sim, kernels) = boot_cluster(&[cfg.os, cfg.os], cfg.seed);
-    run_on(cfg, sim, kernels)
-}
-
-/// Runs the farm under an explicit fault profile (degraded-mode
-/// capacity curves).
-pub fn run_farm_with_faults(cfg: &FarmConfig, profile: FaultProfile) -> FarmReport {
-    let (sim, kernels) = boot_cluster_with_faults(&[cfg.os, cfg.os], cfg.seed, profile);
-    run_on(cfg, sim, kernels)
-}
-
-fn run_on(cfg: &FarmConfig, sim: Sim, kernels: Vec<Kernel>) -> FarmReport {
     assert!(cfg.requests > 0 && cfg.client_hosts > 0 && cfg.workers > 0);
     assert!(cfg.max_tries > 0 && cfg.backlog > 0);
     let costs = path_costs(cfg);

@@ -30,7 +30,7 @@ mod farm;
 mod hist;
 mod load;
 
-pub use farm::{run_farm, run_farm_with_faults, FarmConfig, FarmReport, Workload};
+pub use farm::{run_farm, FarmConfig, FarmReport, Workload};
 pub use hist::LatHist;
 pub use load::{Arrivals, Rng64};
 
@@ -39,6 +39,7 @@ mod tests {
     use super::*;
     use tnt_os::Os;
     use tnt_sim::fault::FaultProfile;
+    use tnt_sim::Instruments;
 
     /// Compact fingerprint of everything a report says; equality of two
     /// fingerprints is equality of runs for determinism purposes.
@@ -158,7 +159,11 @@ mod tests {
                 net_drop: drop,
                 ..FaultProfile::off()
             };
-            let r = run_farm_with_faults(&cfg, profile);
+            let r = Instruments {
+                faults: profile,
+                ..Instruments::current()
+            }
+            .scope(|| run_farm(&cfg));
             assert!(
                 r.hist.p99() >= last_p99,
                 "p99 must not improve as loss rises: {} then {} at {drop}",

@@ -285,23 +285,6 @@ impl std::fmt::Debug for FaultPlan {
     }
 }
 
-/// The process-wide profile newly booted simulations inherit.
-///
-/// `reproduce` sets this once from `--faults` before any experiment runs;
-/// because it is written before worker threads exist and only read at
-/// simulation boot, parallel execution stays deterministic.
-static AMBIENT: Mutex<FaultProfile> = Mutex::new(FaultProfile::off());
-
-/// Sets the profile future simulations boot with (see [`ambient`]).
-pub fn set_ambient(profile: FaultProfile) {
-    *AMBIENT.lock() = profile;
-}
-
-/// The profile simulations boot with unless given an explicit one.
-pub fn ambient() -> FaultProfile {
-    *AMBIENT.lock()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,15 +336,5 @@ mod tests {
             assert_eq!(a.net_dup(), b.net_dup());
             assert_eq!(a.rpc_request_drop(), b.rpc_request_drop());
         }
-    }
-
-    #[test]
-    fn ambient_round_trips() {
-        // Serial with other tests touching the global: use a throwaway
-        // value and restore.
-        let prev = ambient();
-        set_ambient(FaultProfile::lossy());
-        assert!(!ambient().is_off());
-        set_ambient(prev);
     }
 }

@@ -289,7 +289,9 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnt_os::{boot, Os};
+    use tnt_os::{boot, boot_cluster, Os};
+    use tnt_sim::fault::FaultProfile;
+    use tnt_sim::Instruments;
 
     #[test]
     fn random_8k_io_near_14ms() {
@@ -365,20 +367,18 @@ mod tests {
         assert!((p.rotation().as_millis() - 13.33).abs() < 0.02);
     }
 
-    fn boot_faulty(
-        profile: tnt_sim::fault::FaultProfile,
-    ) -> (tnt_sim::Sim, tnt_os::Kernel) {
-        let (sim, kernels) = tnt_os::boot_cluster_with_faults(&[Os::Linux], 0, profile);
-        (sim, kernels[0].clone())
-    }
-
     #[test]
     fn transient_faults_exhaust_the_retry_budget_to_eio() {
-        use tnt_sim::fault::FaultProfile;
-        let (sim, kernel) = boot_faulty(FaultProfile {
+        let faults = FaultProfile {
             disk_transient: 1.0,
             ..FaultProfile::off()
-        });
+        };
+        let (sim, kernels) = Instruments {
+            faults,
+            ..Instruments::current()
+        }
+        .scope(|| boot_cluster(&[Os::Linux], 0));
+        let kernel = &kernels[0];
         let disk = std::sync::Arc::new(Disk::new(DiskParams::hp3725()));
         let d2 = disk.clone();
         let env = kernel.env().clone();
@@ -402,9 +402,13 @@ mod tests {
 
     #[test]
     fn remaps_cost_time_but_the_command_succeeds() {
-        use tnt_sim::fault::FaultProfile;
         let run = |profile: FaultProfile| {
-            let (sim, kernel) = boot_faulty(profile);
+            let (sim, kernels) = Instruments {
+                faults: profile,
+                ..Instruments::current()
+            }
+            .scope(|| boot_cluster(&[Os::Linux], 0));
+            let kernel = &kernels[0];
             let disk = std::sync::Arc::new(Disk::new(DiskParams::hp3725()));
             let d2 = disk.clone();
             let env = kernel.env().clone();

@@ -806,7 +806,11 @@ mod tests {
             disk_transient: 1.0,
             ..tnt_sim::fault::FaultProfile::off()
         };
-        let (sim, kernels) = tnt_os::boot_cluster_with_faults(&[Os::FreeBsd], 0, profile);
+        let (sim, kernels) = tnt_sim::Instruments {
+            faults: profile,
+            ..tnt_sim::Instruments::current()
+        }
+        .scope(|| tnt_os::boot_cluster(&[Os::FreeBsd], 0));
         let kernel = kernels[0].clone();
         kernel.mount(SimFs::fresh_for_os(Os::FreeBsd));
         kernel.spawn_user("eio", move |p| {

@@ -17,7 +17,7 @@ use crate::plan::{ExperimentPlan, PlanBody};
 use crate::plot::{Figure, XScale};
 use crate::scale::Scale;
 use tnt_core::{
-    crtdel_ms, crtdel_ms_with, ctx_us_with, mab_over_nfs_faulty, tcp_bandwidth_mbit,
+    crtdel_ms, crtdel_ms_with, ctx_us_with, mab_over_nfs, tcp_bandwidth_mbit,
     tcp_bandwidth_with_window, CtxPattern, Os,
 };
 use tnt_fs::FsParams;
@@ -465,6 +465,7 @@ fn x7_latencies(scale: &Scale) -> ExperimentOutput {
 
 fn x8_nfs_degradation(_scale: &Scale) -> ExperimentOutput {
     use tnt_sim::fault::FaultProfile;
+    use tnt_sim::Instruments;
 
     // Tables 6-7's hardest cell (FreeBSD client, SunOS server) rerun
     // under rising deterministic RPC loss: each rate drops frames on
@@ -473,7 +474,9 @@ fn x8_nfs_degradation(_scale: &Scale) -> ExperimentOutput {
     // 700 ms retransmission timeout, so MAB time must rise
     // monotonically with the rate — the degradation curve the fault
     // plane exists to measure. One fixed seed per point: the curve is
-    // a property of the loss rate, not of seed averaging.
+    // a property of the loss rate, not of seed averaging. Each point
+    // pins its own profile, so the curve is the same under any
+    // `--faults`.
     let rates = [0.0_f64, 0.01, 0.05];
     let mut s = Series::new("FreeBSD client, SunOS server");
     for &rate in &rates {
@@ -483,7 +486,11 @@ fn x8_nfs_degradation(_scale: &Scale) -> ExperimentOutput {
             rpc_reply_drop: rate,
             ..FaultProfile::off()
         };
-        let report = mab_over_nfs_faulty(Os::FreeBsd, Os::SunOs, 0, profile);
+        let report = Instruments {
+            faults: profile,
+            ..Instruments::current()
+        }
+        .scope(|| mab_over_nfs(Os::FreeBsd, Os::SunOs, 0));
         s.push(rate * 100.0, report.total_s);
     }
     let fig = Figure {

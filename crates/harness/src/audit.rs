@@ -34,8 +34,8 @@ pub struct AuditReport {
     pub samples: usize,
     /// Samples whose attribution drifted from the simulated clock.
     pub failures: Vec<AuditFinding>,
-    /// Whether the ambient happens-before race detector was armed while
-    /// the audited samples ran. When true, a detected race would have
+    /// Whether the happens-before race detector was armed (by the
+    /// calling thread's `Instruments`) while the audited samples ran. When true, a detected race would have
     /// failed the sample outright — so a passing audit also certifies
     /// the engine raced on nothing it touched.
     pub race_armed: bool,
@@ -74,7 +74,7 @@ impl AuditReport {
 /// given scale.
 pub fn conservation_audit(scale: &Scale) -> AuditReport {
     let mut report = AuditReport {
-        race_armed: tnt_sim::race::ambient(),
+        race_armed: tnt_sim::Instruments::current().race,
         ..AuditReport::default()
     };
     for id in profile_ids() {

@@ -32,7 +32,7 @@ use tnt_harness::{
 };
 use tnt_runner::{json::Value, BaselineStore, ExperimentRecord};
 use tnt_sim::replay::Trace;
-use tnt_sim::CPU_HZ;
+use tnt_sim::{Instruments, CPU_HZ};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,17 +43,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Arm the ambient fault profile before any experiment (and before the
-    // worker pool spawns): every `boot`/`boot_cluster` in this process
-    // picks it up. The default `off` is the byte-identical no-op.
-    tnt_sim::fault::set_ambient(cli.faults);
-    // --audit also arms the ambient happens-before race detector: every
-    // Sim built from here on carries vector clocks and panics (failing
-    // the run) on the first unordered same-location access pair.
-    if cli.audit {
-        tnt_sim::race::set_ambient(true);
-    }
-    match cli.mode {
+    // One scope for the whole run: every simulation booted on this
+    // thread, and every pool job it submits, boots with the `--faults`
+    // profile and, under --audit, an armed happens-before race detector
+    // that fails the run on the first unordered same-location access
+    // pair. The default `off` profile is the byte-identical no-op.
+    let instruments = Instruments {
+        faults: cli.faults,
+        race: cli.audit,
+        ..Instruments::default()
+    };
+    instruments.scope(|| match cli.mode {
         Mode::Help => {
             println!("{}", cli::usage());
             ExitCode::SUCCESS
@@ -84,7 +84,7 @@ fn main() -> ExitCode {
         Mode::Farm => farm(&cli),
         Mode::Explore => explore_cmd(&cli),
         Mode::Replay => replay_cmd(&cli),
-    }
+    })
 }
 
 /// Resolves one `replay` operand to a trace: a literal file path, or a

@@ -63,10 +63,11 @@ pub struct Cli {
     pub tolerance_pct: f64,
     /// Attach cycle-attribution profiles to each experiment.
     pub profile: bool,
-    /// Ambient fault-injection profile (`--faults off|smoke|lossy`).
+    /// Fault-injection profile every booted machine runs under
+    /// (`--faults off|smoke|lossy`).
     pub faults: FaultProfile,
     /// Run the cycle-conservation audit after the suite, and arm the
-    /// ambient happens-before race detector for every simulation.
+    /// happens-before race detector for every simulation.
     pub audit: bool,
     /// `--record <id>`: capture the named experiment's disk/namespace
     /// activity to `.tntrace` files instead of (or before) replaying.

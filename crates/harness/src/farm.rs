@@ -7,8 +7,9 @@
 //! - [`farm_sweep`]: the full `reproduce farm` rate sweep — TCP and NFS
 //!   grids over every OS on the tnt-runner pool, rendered as capacity
 //!   and latency curves plus `BENCH_farm.json` / CSV artifacts. The
-//!   sweep composes with `--faults lossy` (the ambient profile reaches
-//!   every `boot_cluster` inside `run_farm`) for degraded-mode curves.
+//!   sweep composes with `--faults lossy` (each pool job runs under the
+//!   caller's `Instruments`, so the profile reaches every `boot_cluster`
+//!   inside `run_farm`) for degraded-mode curves.
 
 use crate::experiments::ExperimentOutput;
 use crate::plan::{Cell, ExperimentPlan, PlanBody};
@@ -321,7 +322,7 @@ pub fn farm_sweep(scale: &Scale, faults_name: &str, jobs: usize) -> FarmSweep {
             }
         }
     }
-    let outcomes = run_ordered(pool_jobs, jobs);
+    let outcomes = run_ordered(crate::plan::inherit_instruments(pool_jobs), jobs);
     let mut points: Vec<(Workload, Os, f64, Vec<f64>)> = Vec::new();
     for ((workload, os, rate), outcome) in keys.into_iter().zip(outcomes) {
         let m = match outcome.result {

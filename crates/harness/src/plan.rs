@@ -20,6 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::experiments::ExperimentOutput;
 use crate::scale::Scale;
 use tnt_runner::{run_ordered, Job};
+use tnt_sim::Instruments;
 
 /// One independent shard of an experiment: a leg of the
 /// id × OS × seeded-run matrix.
@@ -114,6 +115,21 @@ pub fn plan(ids: &[&str], scale: &Scale) -> Vec<ExperimentPlan> {
     plans
 }
 
+/// Wraps each job to run under the calling thread's [`Instruments`],
+/// taken now: pool threads start with none installed, and every job
+/// must see the options (`--faults`, `--audit`, a capture or a session)
+/// of the thread that submitted it.
+pub(crate) fn inherit_instruments<T: 'static>(jobs: Vec<Job<T>>) -> Vec<Job<T>> {
+    let instruments = Instruments::current();
+    jobs.into_iter()
+        .map(|job| {
+            let instruments = instruments.clone();
+            let work = job.work;
+            Job::new(job.cost, move || instruments.scope(work))
+        })
+        .collect()
+}
+
 enum ShardValue {
     Samples(Vec<f64>),
     Outputs(Vec<ExperimentOutput>),
@@ -145,7 +161,7 @@ pub fn execute(plans: Vec<ExperimentPlan>, jobs: usize) -> Vec<ExperimentResult>
         }
     }
 
-    let mut outcomes = run_ordered(pool_jobs, jobs).into_iter();
+    let mut outcomes = run_ordered(inherit_instruments(pool_jobs), jobs).into_iter();
 
     // Ordered merge: walk the outcomes in submission order, experiment
     // by experiment, rendering on this (the main) thread.

@@ -9,12 +9,13 @@
 //! Figure 12's shows FreeBSD's synchronous metadata writes.
 
 use tnt_core::{
-    bonnie, crtdel_ms, ctx_us, mab_local, mab_over_nfs, mab_over_nfs_faulty, mem_bandwidth,
-    packet_sizes, pipe_bandwidth_mbit, syscall_us, tcp_bandwidth_mbit, udp_bandwidth_mbit,
-    CtxPattern, LibcVariant, MemRoutine, Os,
+    bonnie, crtdel_ms, ctx_us, mab_local, mab_over_nfs, mem_bandwidth, packet_sizes,
+    pipe_bandwidth_mbit, syscall_us, tcp_bandwidth_mbit, udp_bandwidth_mbit, CtxPattern,
+    LibcVariant, MemRoutine, Os,
 };
 use tnt_sim::fault::FaultProfile;
 use tnt_sim::trace::{session, SessionReport};
+use tnt_sim::Instruments;
 
 use crate::scale::Scale;
 
@@ -190,7 +191,11 @@ pub fn profile_experiment(id: &str, scale: &Scale) -> Option<Vec<ProfiledSample>
                 ..FaultProfile::off()
             };
             out.push(sample("FreeBSD client, 5% RPC loss", move || {
-                mab_over_nfs_faulty(Os::FreeBsd, Os::SunOs, PROFILE_SEED, lossy);
+                Instruments {
+                    faults: lossy,
+                    ..Instruments::current()
+                }
+                .scope(|| mab_over_nfs(Os::FreeBsd, Os::SunOs, PROFILE_SEED));
             }));
             // Retry exhaustion: every reply is dropped, so the client's
             // first (lazy) root LOOKUP burns all its retries — backoff
@@ -202,8 +207,11 @@ pub fn profile_experiment(id: &str, scale: &Scale) -> Option<Vec<ProfiledSample>
                     rpc_reply_drop: 1.0,
                     ..FaultProfile::off()
                 };
-                let (sim, kernels) =
-                    tnt_os::boot_cluster_with_faults(&[Os::FreeBsd, Os::SunOs], PROFILE_SEED, dead);
+                let (sim, kernels) = Instruments {
+                    faults: dead,
+                    ..Instruments::current()
+                }
+                .scope(|| tnt_os::boot_cluster(&[Os::FreeBsd, Os::SunOs], PROFILE_SEED));
                 let client_k = kernels[0].clone();
                 let server_k = kernels[1].clone();
                 let net = tnt_net::Net::ethernet_10mbit();

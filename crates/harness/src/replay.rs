@@ -30,7 +30,7 @@ use tnt_os::{boot, KEnv, OpenFlags};
 use tnt_runner::{ExperimentRecord, StatLine};
 use tnt_sim::proc::{LiteProc, LiteScheduler, ProcCtx, Step, WaitReason};
 use tnt_sim::replay::{Op, Trace, TraceEvent};
-use tnt_sim::{normalize_lower_better, Cycles, CPU_HZ};
+use tnt_sim::{normalize_lower_better, Capture, Cycles, Instruments, CPU_HZ};
 
 use crate::experiments::ExperimentOutput;
 use crate::plan::{ExperimentPlan, PlanBody};
@@ -194,7 +194,7 @@ impl LiteProc<ProcCtx> for ReplayProc {
 /// a byte-identical [`ReplayReport`].
 pub fn replay_trace(trace: &Trace, os: Os, seed: u64, opts: ReplayOptions) -> ReplayReport {
     let (sim, kernel) = boot(os, seed);
-    // A replay must never capture itself, even under ambient --record.
+    // A replay must never capture itself, even under a --record capture.
     sim.recorder().disable();
     let env = kernel.env().clone();
     let disk = Arc::new(Disk::new(DiskParams::hp3725()));
@@ -258,40 +258,17 @@ pub fn replay_trace(trace: &Trace, os: Os, seed: u64, opts: ReplayOptions) -> Re
     }
 }
 
-/// Arms the ambient capture flag and guarantees it is disarmed again on
-/// every exit path — panic included — so a crashing sample can never
-/// leave the sink armed for the next pool job.
-struct AmbientCapture;
-
-impl AmbientCapture {
-    fn arm() -> AmbientCapture {
-        // Drop captures a previous (possibly panicked) caller left behind.
-        let _ = tnt_sim::replay::drain();
-        tnt_sim::replay::set_ambient(true);
-        AmbientCapture
-    }
-}
-
-impl Drop for AmbientCapture {
-    fn drop(&mut self) {
-        tnt_sim::replay::set_ambient(false);
-    }
-}
-
-/// Runs experiment `id` with ambient capture armed and returns every
-/// trace the runs published — one per booted machine that saw disk or
+/// Runs experiment `id` under a fresh capture and returns every trace
+/// the runs published — one per booted machine that saw disk or
 /// namespace activity. This is `reproduce --record <id>`.
 pub fn capture_experiment(id: &str, scale: &Scale) -> Vec<Trace> {
-    let armed = AmbientCapture::arm();
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::experiments::run_one(id, scale)
-    }));
-    drop(armed);
-    let traces = tnt_sim::replay::drain();
-    match out {
-        Ok(_) => traces,
-        Err(panic) => std::panic::resume_unwind(panic),
+    let capture = Capture::default();
+    Instruments {
+        capture: Some(capture.clone()),
+        ..Instruments::current()
     }
+    .scope(|| crate::experiments::run_one(id, scale));
+    capture.take()
 }
 
 /// The vendored fixture traces under `results/traces/`, by stem.
@@ -457,7 +434,7 @@ fn replay_rows(
             // The equality guarantee (see the module docs) holds when the
             // fault plane is quiet; under --faults the replay re-rolls its
             // own transients and the totals may legitimately drift.
-            if tnt_sim::fault::ambient().is_off() {
+            if Instruments::current().faults.is_off() {
                 assert_eq!(
                     asap.busy_cy,
                     recorded_busy.0,
@@ -718,25 +695,27 @@ mod tests {
     }
 
     #[test]
-    fn panicking_capture_disarms_the_ambient_sink() {
-        // Poison: an unknown id makes the captured experiment panic
-        // inside the capture's own catch_unwind.
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            capture_experiment("no-such-experiment", &Scale::smoke())
-        }));
-        assert!(poisoned.is_err(), "unknown id must panic through");
-        assert!(
-            !tnt_sim::replay::ambient(),
-            "a panicking capture must disarm the ambient sink"
-        );
-        // Recover: a fresh unrelated run right after must not be captured.
-        let (sim, kernel) = boot(Os::Linux, 0);
-        kernel.spawn_user("innocent", |p| p.compute(Cycles(1_000)));
-        sim.run().expect("post-panic run");
-        assert!(
-            tnt_sim::replay::drain().is_empty(),
-            "no capture may leak into the next pool job"
-        );
+    fn a_panicking_scoped_job_leaks_nothing_into_the_next_job() {
+        // Two jobs on one worker thread: the first panics inside its
+        // capture scope (an unknown id), the second boots an innocent
+        // machine right after it.
+        let jobs = vec![
+            tnt_runner::Job::new(1, || {
+                capture_experiment("no-such-experiment", &Scale::smoke());
+            }),
+            tnt_runner::Job::new(1, || {
+                assert!(Instruments::current().capture.is_none(), "capture leaked");
+                let (sim, kernel) = boot(Os::Linux, 0);
+                assert!(!sim.recorder().is_enabled(), "recorder armed by a leaked capture");
+                kernel.spawn_user("innocent", |p| p.compute(Cycles(1_000)));
+                sim.run().expect("post-panic run");
+            }),
+        ];
+        let out = tnt_runner::run_ordered(jobs, 1);
+        assert!(out[0].result.is_err(), "unknown id must panic through the capture");
+        if let Err(p) = &out[1].result {
+            panic!("the next job saw the panicked job's scope: {}", p.message);
+        }
     }
 
     #[test]

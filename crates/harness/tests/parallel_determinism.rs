@@ -5,6 +5,8 @@
 
 use tnt_harness::{all_ids, execute, extra_ids, plan, Cell, ExperimentPlan, PlanBody, Scale};
 use tnt_runner::BaselineStore;
+use tnt_sim::fault::FaultProfile;
+use tnt_sim::Instruments;
 
 fn suite_ids() -> Vec<&'static str> {
     all_ids().into_iter().chain(extra_ids()).collect()
@@ -76,6 +78,32 @@ fn intermediate_job_counts_agree_too() {
     for jobs in [2, 5] {
         assert_eq!(run_suite(jobs).text, reference, "jobs={jobs} diverged");
     }
+}
+
+/// Each experiment's rendered text, in plan order.
+fn texts(ids: &[&str], jobs: usize) -> Vec<String> {
+    execute(plan(ids, &Scale::smoke()), jobs)
+        .into_iter()
+        .map(|r| r.outputs.into_iter().map(|o| o.text).collect())
+        .collect()
+}
+
+#[test]
+fn pool_jobs_inherit_the_submitting_threads_fault_profile() {
+    // t6 (MAB over NFS) boots under the scoped profile; x8 pins its own.
+    let ids = ["t6", "x8"];
+    let smoke = |jobs| {
+        Instruments {
+            faults: FaultProfile::smoke(),
+            ..Instruments::current()
+        }
+        .scope(|| texts(&ids, jobs))
+    };
+    let serial = smoke(1);
+    assert_eq!(serial, smoke(4), "a pool job dropped the scope");
+    let off = texts(&ids, 4);
+    assert_ne!(serial[0], off[0], "t6 must see the smoke profile");
+    assert_eq!(serial[1], off[1], "x8 pins its own profiles");
 }
 
 fn exploding_plan() -> ExperimentPlan {

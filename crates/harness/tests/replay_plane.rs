@@ -1,21 +1,15 @@
 //! Cross-cutting guarantees of the capture/replay plane:
 //!
-//! - recording is inert: arming ambient capture changes no experiment
-//!   output byte (and with it off, the recorder never even allocates);
+//! - recording is inert: a capture changes no experiment output byte
+//!   (and with none, the recorder never even allocates);
 //! - `capture_experiment` harvests one trace per booted machine, and a
 //!   captured trace replays deterministically;
 //! - the blkparse importer's timebase is the engine clock.
-//!
-//! Ambient capture is process-global state, so every test touching it
-//! serialises on one mutex (the test harness runs tests concurrently in
-//! this binary).
 
-use parking_lot::Mutex;
 use tnt_core::Os;
 use tnt_harness::{replay_trace, run_one, ReplayOptions, Scale};
 use tnt_sim::replay::{Op, Trace};
-
-static AMBIENT: Mutex<()> = Mutex::new(());
+use tnt_sim::{Capture, Instruments};
 
 fn render(id: &str, scale: &Scale) -> String {
     run_one(id, scale)
@@ -25,17 +19,18 @@ fn render(id: &str, scale: &Scale) -> String {
 }
 
 #[test]
-fn ambient_capture_changes_no_output_byte() {
-    let _serial = AMBIENT.lock();
+fn capture_changes_no_output_byte() {
     let scale = Scale::smoke();
     // f12 (crtdel) is the most disk-bound paper experiment: if capture
     // perturbed timing anywhere, it would show here first.
     let off = render("f12", &scale);
-    let _ = tnt_sim::replay::drain();
-    tnt_sim::replay::set_ambient(true);
-    let on = render("f12", &scale);
-    tnt_sim::replay::set_ambient(false);
-    let traces = tnt_sim::replay::drain();
+    let capture = Capture::default();
+    let on = Instruments {
+        capture: Some(capture.clone()),
+        ..Instruments::current()
+    }
+    .scope(|| render("f12", &scale));
+    let traces = capture.take();
     assert_eq!(off, on, "recording must not perturb the simulation");
     assert!(!traces.is_empty(), "a disk experiment must capture traces");
     assert!(traces.iter().any(|t| !t.is_empty()), "captures have events");
@@ -43,8 +38,6 @@ fn ambient_capture_changes_no_output_byte() {
 
 #[test]
 fn recording_is_off_by_default() {
-    let _serial = AMBIENT.lock();
-    let _ = tnt_sim::replay::drain();
     let (sim, kernel) = tnt_os::boot(Os::Linux, 1);
     kernel.mount(tnt_fs::SimFs::fresh_for_os(Os::Linux));
     kernel.spawn_user("writer", |p| {
@@ -55,12 +48,10 @@ fn recording_is_off_by_default() {
     sim.run().expect("run");
     assert!(!sim.recorder().is_enabled(), "recorder armed without --record");
     assert!(sim.recorder().is_empty(), "events recorded while disabled");
-    assert!(tnt_sim::replay::drain().is_empty(), "published while disabled");
 }
 
 #[test]
 fn captured_experiment_traces_replay_deterministically() {
-    let _serial = AMBIENT.lock();
     let traces = tnt_harness::capture_experiment("f12", &Scale::smoke());
     let trace = traces
         .iter()

@@ -161,7 +161,8 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnt_os::{boot, boot_cluster_with_faults, Os};
+    use tnt_os::{boot, boot_cluster, Os};
+    use tnt_sim::Instruments;
     use tnt_sim::fault::FaultProfile;
 
     /// 10 Mb/s wire time for one MTU payload, in cycles.
@@ -295,7 +296,11 @@ mod tests {
                 net_drop: 0.2,
                 ..FaultProfile::off()
             };
-            let (sim, kernels) = boot_cluster_with_faults(&[Os::Linux], 7, profile);
+            let (sim, kernels) = Instruments {
+                faults: profile,
+                ..Instruments::current()
+            }
+            .scope(|| boot_cluster(&[Os::Linux], 7));
             let sw = Switch::new(2, 10e6, 64);
             let sw2 = sw.clone();
             kernels[0].spawn_user("t", move |p| {

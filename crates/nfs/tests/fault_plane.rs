@@ -11,8 +11,9 @@ use parking_lot::Mutex;
 use tnt_fs::SimFs;
 use tnt_net::Net;
 use tnt_nfs::{serve, NfsClient, NfsServerConfig};
-use tnt_os::{boot_cluster_with_faults, Errno, Kernel, OpenFlags, Os, UProc};
+use tnt_os::{boot_cluster, Errno, Kernel, OpenFlags, Os, UProc};
 use tnt_sim::fault::FaultProfile;
+use tnt_sim::Instruments;
 
 struct Rig {
     sim: tnt_sim::Sim,
@@ -22,7 +23,11 @@ struct Rig {
 }
 
 fn rig(faults: FaultProfile, seed: u64) -> Rig {
-    let (sim, kernels) = boot_cluster_with_faults(&[Os::FreeBsd, Os::SunOs], seed, faults);
+    let (sim, kernels) = Instruments {
+        faults,
+        ..Instruments::current()
+    }
+    .scope(|| boot_cluster(&[Os::FreeBsd, Os::SunOs], seed));
     let net = Net::ethernet_10mbit();
     let client_host = net.register_host(&kernels[0]);
     let server_host = net.register_host(&kernels[1]);

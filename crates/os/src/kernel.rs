@@ -20,7 +20,7 @@ use crate::pipe::Pipe;
 use crate::sched::ClusterPolicy;
 use crate::vfs::{FileAttr, Filesystem, KEnv, OpenFlags};
 use tnt_sim::trace::{Class, Counter, CounterSet};
-use tnt_sim::{Cycles, Sim, SimConfig, Tid, WaitId};
+use tnt_sim::{Cycles, Instruments, Sim, SimConfig, Tid, WaitId};
 
 /// Process identifier (same space as the engine's [`Tid`]).
 pub type Pid = Tid;
@@ -70,20 +70,10 @@ pub fn boot(os: Os, seed: u64) -> (Sim, Kernel) {
 }
 
 /// Boots a machine with an explicit cost table — used for the Section 13
-/// "next release" projections and for ablation experiments. The fault
-/// profile comes from the process-wide ambient setting (`reproduce
-/// --faults`), off by default.
+/// "next release" projections and for ablation experiments.
 pub fn boot_with(costs: OsCosts, seed: u64) -> (Sim, Kernel) {
     let tasks = Arc::new(AtomicUsize::new(0));
-    let sim = Sim::new(
-        costs.make_policy(tasks.clone()),
-        SimConfig {
-            seed,
-            jitter: costs.jitter,
-            faults: tnt_sim::fault::ambient(),
-            record: tnt_sim::replay::ambient(),
-        },
-    );
+    let sim = Sim::new(costs.make_policy(tasks.clone()), config(seed, costs.jitter));
     let kernel = Kernel::attach(&sim, costs, 0, tasks);
     (sim, kernel)
 }
@@ -91,19 +81,7 @@ pub fn boot_with(costs: OsCosts, seed: u64) -> (Sim, Kernel) {
 /// Boots several machines into one simulation (e.g. NFS client and
 /// server). Machine `i` runs `oses[i]` and its processes must be spawned
 /// through its own kernel. Jitter follows the first (client) machine.
-/// Faults follow the ambient profile; use [`boot_cluster_with_faults`]
-/// for an explicit one.
 pub fn boot_cluster(oses: &[Os], seed: u64) -> (Sim, Vec<Kernel>) {
-    boot_cluster_with_faults(oses, seed, tnt_sim::fault::ambient())
-}
-
-/// [`boot_cluster`] with an explicit fault profile, for degradation
-/// sweeps that pin their own injection rates regardless of `--faults`.
-pub fn boot_cluster_with_faults(
-    oses: &[Os],
-    seed: u64,
-    faults: tnt_sim::fault::FaultProfile,
-) -> (Sim, Vec<Kernel>) {
     assert!(!oses.is_empty());
     let costs: Vec<OsCosts> = oses.iter().map(|o| OsCosts::for_os(*o)).collect();
     let task_counters: Vec<Arc<AtomicUsize>> =
@@ -115,12 +93,7 @@ pub fn boot_cluster_with_faults(
         .collect();
     let sim = Sim::new(
         Box::new(ClusterPolicy::new(policies)),
-        SimConfig {
-            seed,
-            jitter: costs[0].jitter,
-            faults,
-            record: tnt_sim::replay::ambient(),
-        },
+        config(seed, costs[0].jitter),
     );
     let kernels = costs
         .into_iter()
@@ -129,6 +102,19 @@ pub fn boot_cluster_with_faults(
         .map(|(i, (c, t))| Kernel::attach(&sim, c, i as u32, t))
         .collect();
     (sim, kernels)
+}
+
+/// A booted machine's engine config: the fault profile and capture come
+/// from the calling thread's [`Instruments`] (`reproduce --faults`,
+/// `replay --record`), off by default.
+fn config(seed: u64, jitter: f64) -> SimConfig {
+    let instruments = Instruments::current();
+    SimConfig {
+        seed,
+        jitter,
+        faults: instruments.faults,
+        record: instruments.capture.is_some(),
+    }
 }
 
 impl Kernel {

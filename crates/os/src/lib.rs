@@ -45,8 +45,6 @@ mod vfs;
 pub use costs::{DispatchCosts, Os, OsCosts, PipeCosts};
 pub use errno::{Errno, SysResult};
 pub use fdtable::{Fd, FdTable, File, FileObj};
-pub use kernel::{
-    boot, boot_cluster, boot_cluster_with_faults, boot_with, Kernel, KernelStats, Pid, UProc,
-};
+pub use kernel::{boot, boot_cluster, boot_with, Kernel, KernelStats, Pid, UProc};
 pub use pipe::Pipe;
 pub use vfs::{FileAttr, Filesystem, KEnv, OpenFlags, VnodeId};

@@ -27,22 +27,3 @@ pub mod explore;
 pub use clock::VClock;
 pub use detect::{AccessInfo, AccessKind, Detector, Footprint, Loc, Race, SyncId, WakeSrc};
 pub use explore::{explore, Choice, ExploreReport, Outcome, RunResult};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Ambient arming flag, mirroring `tnt_fault::set_ambient`: the
-/// `reproduce` binary sets it once (from `--audit`) before building any
-/// simulation, and every `Sim::new` thereafter arms its happens-before
-/// detector.
-static AMBIENT: AtomicBool = AtomicBool::new(false);
-
-/// Arms (or disarms) the ambient happens-before checker for every
-/// simulation constructed after this call.
-pub fn set_ambient(armed: bool) {
-    AMBIENT.store(armed, Ordering::SeqCst);
-}
-
-/// Whether the ambient happens-before checker is armed.
-pub fn ambient() -> bool {
-    AMBIENT.load(Ordering::SeqCst)
-}

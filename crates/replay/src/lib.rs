@@ -26,11 +26,9 @@
 //!   dumps of real Linux block traces, so measured workloads can be
 //!   carried into the simulation.
 //!
-//! The ambient flag ([`set_ambient`]) mirrors `tnt_fault::set_ambient`:
-//! the `reproduce` binary arms it for `reproduce replay --record <id>`,
-//! every simulation booted afterwards records itself, and finished
-//! recordings are published to the process-wide [`publish`]/[`drain`]
-//! sink when `Sim::run` returns.
+//! `reproduce replay --record <id>` runs the experiment under a
+//! `tnt_sim::Instruments` capture: every machine it boots records
+//! itself, and `Sim::run` hands the finished recording to the capture.
 //!
 //! [`Sim`]: ../tnt_sim/struct.Sim.html
 
@@ -39,4 +37,4 @@ pub mod import;
 pub mod recorder;
 
 pub use format::{Op, Trace, TraceError, TraceEvent, FORMAT_VERSION, MAGIC};
-pub use recorder::{ambient, drain, publish, set_ambient, Recorder};
+pub use recorder::Recorder;

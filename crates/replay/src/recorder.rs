@@ -1,6 +1,4 @@
-//! The capture shim: a per-simulation [`Recorder`], the process-wide
-//! ambient arming flag, and the publish sink `reproduce replay
-//! --record` drains.
+//! The capture shim: a per-simulation [`Recorder`].
 //!
 //! The recorder is wired into the engine (one per `Sim`) and into the
 //! disk and filesystem models, which call `record_*` at their command
@@ -18,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Accumulates the events one simulation emits.
 ///
 /// Created disabled; [`Recorder::enable`] arms it (explicitly, or via
-/// the ambient flag at `Sim` construction). Paths are interned on
+/// `SimConfig::record` at `Sim` construction). Paths are interned on
 /// first use, in order of first appearance, which keeps the table —
 /// and therefore the serialised trace — deterministic.
 #[derive(Debug, Default)]
@@ -129,37 +127,6 @@ impl Recorder {
     }
 }
 
-/// Ambient arming flag, mirroring `tnt_fault::set_ambient`: the
-/// `reproduce` binary sets it once (for `replay --record <id>`) before
-/// booting anything, every machine booted afterwards records itself,
-/// and `Sim::run` publishes the finished recording to the sink below.
-static AMBIENT: AtomicBool = AtomicBool::new(false);
-
-/// Arms (or disarms) ambient capture for every simulation booted after
-/// this call.
-pub fn set_ambient(armed: bool) {
-    AMBIENT.store(armed, Ordering::SeqCst);
-}
-
-/// Whether ambient capture is armed.
-pub fn ambient() -> bool {
-    AMBIENT.load(Ordering::SeqCst)
-}
-
-/// The process-wide sink ambient captures land in, completion order.
-static SINK: Mutex<Vec<Trace>> = Mutex::new(Vec::new());
-
-/// Appends a finished recording to the sink (called by `Sim::run` for
-/// ambient captures; harmless to call directly).
-pub fn publish(trace: Trace) {
-    SINK.lock().push(trace);
-}
-
-/// Takes every recording published since the last drain.
-pub fn drain() -> Vec<Trace> {
-    std::mem::take(&mut *SINK.lock())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,19 +156,5 @@ mod tests {
         // take() resets interning as well as events.
         r.record_path_event(5, 1, Op::FileOpen, "/a");
         assert_eq!(r.take().paths, vec!["/a".to_string()]);
-    }
-
-    #[test]
-    fn sink_drains_in_publish_order() {
-        // Serialised against itself by running in one test.
-        drain();
-        let mut a = Trace::default();
-        a.paths.push("first".into());
-        let mut b = Trace::default();
-        b.paths.push("second".into());
-        publish(a.clone());
-        publish(b.clone());
-        assert_eq!(drain(), vec![a, b]);
-        assert!(drain().is_empty());
     }
 }

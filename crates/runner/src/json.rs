@@ -269,12 +269,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (bytes are valid UTF-8:
-                // the input is a &str).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one
+                // piece. Both are ASCII, so the run starts and ends on
+                // char boundaries of the input &str, and validating it
+                // touches each byte once.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -338,9 +341,16 @@ mod tests {
 
     #[test]
     fn strings_escape_and_unescape() {
-        let s = "line\nwith \"quotes\" and \\slashes\\ and µs";
-        let text = Value::Str(s.into()).render();
-        assert_eq!(Value::parse(&text).unwrap().as_str().unwrap(), s);
+        for s in [
+            "line\nwith \"quotes\" and \\slashes\\ and µs",
+            // Multibyte characters on both sides of a \u escape.
+            "µs\u{1}é—\u{1f}ß",
+        ] {
+            let text = Value::Str(s.into()).render();
+            assert_eq!(Value::parse(&text).unwrap().as_str().unwrap(), s);
+        }
+        let parsed = Value::parse("\"é\\u00e9µ\\u0041\"").unwrap();
+        assert_eq!(parsed.as_str(), Some("ééµA"));
     }
 
     #[test]

@@ -30,8 +30,10 @@ use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tnt_fault::{FaultPlan, FaultProfile};
+use tnt_trace::session::Session;
 use tnt_trace::{Class, Counter, Event, EventKind, Tracer};
 
+use crate::instruments::{Capture, Instruments};
 use crate::policy::{DispatchEnv, Pick, RunPolicy, Tid};
 use crate::time::Cycles;
 use crate::wheel::TimerWheel;
@@ -140,7 +142,8 @@ pub struct SimConfig {
     /// the run's disk commands and file-layer events are captured as a
     /// `tnt_replay::Trace`. Off (the default) costs one relaxed atomic
     /// load per event site and the run is byte-identical to a build
-    /// without the capture shim.
+    /// without the capture shim. `boot` sets it under an
+    /// [`Instruments`](crate::Instruments) capture.
     pub record: bool,
 }
 
@@ -438,7 +441,7 @@ struct Inner {
     done: Condvar,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Trace sink. Disabled by default (one relaxed load per emit site);
-    /// auto-enabled when a `tnt_trace::session` is collecting.
+    /// enabled when the simulation is booted under a profiling session.
     tracer: Tracer,
     /// Fault-injection plan: the configured profile plus its own seeded
     /// RNG stream, so fault rolls never perturb the jitter stream.
@@ -447,6 +450,10 @@ struct Inner {
     /// (one relaxed load per emit site); armed by `SimConfig::record`
     /// or explicitly via [`Sim::recorder`].
     recorder: tnt_replay::Recorder,
+    /// The profiling session this simulation was booted under, if any.
+    session: Option<Session>,
+    /// The capture this simulation was booted under, if any.
+    capture: Option<Capture>,
 }
 
 thread_local! {
@@ -514,6 +521,7 @@ impl Sim {
     /// Creates a simulation with the given run-queue policy and config.
     pub fn new(policy: Box<dyn RunPolicy>, config: SimConfig) -> Sim {
         install_quiet_kill_hook();
+        let instruments = Instruments::current();
         let mut rng = StdRng::seed_from_u64(config.seed);
         // One multiplicative factor per run: repeated runs with different
         // seeds then have a standard deviation of roughly `jitter`, the
@@ -559,18 +567,18 @@ impl Sim {
                 tracer: Tracer::new(),
                 faults: FaultPlan::new(config.faults, config.seed),
                 recorder: tnt_replay::Recorder::new(),
+                session: instruments.session,
+                capture: instruments.capture,
             }),
         };
-        if tnt_trace::session::active() {
-            sim.inner.tracer.enable(tnt_trace::session::ring_capacity());
+        if let Some(session) = &sim.inner.session {
+            sim.inner.tracer.enable(session.ring_capacity());
         }
         if config.record {
             sim.inner.recorder.enable();
         }
-        // Mirrors `tnt_fault::set_ambient`: `reproduce --audit` arms the
-        // happens-before checker for every simulation it builds.
         #[cfg(feature = "audit")]
-        if tnt_race::ambient() {
+        if instruments.race {
             sim.arm_race_detector();
         }
         sim
@@ -590,8 +598,8 @@ impl Sim {
     }
 
     /// The simulation's workload recorder (always present, capturing
-    /// only while enabled). Arm it with `SimConfig::record`, the
-    /// ambient `tnt_replay::set_ambient` flag at boot, or directly via
+    /// only while enabled). Arm it with `SimConfig::record` (which
+    /// `boot` sets under an [`Instruments`] capture) or directly via
     /// `sim.recorder().enable()`; harvest with `take()`.
     pub fn recorder(&self) -> &tnt_replay::Recorder {
         &self.inner.recorder
@@ -771,21 +779,22 @@ impl Sim {
             (st.now, st.error.clone())
         };
         self.shutdown();
-        if self.inner.tracer.is_enabled() && tnt_trace::session::active() {
-            tnt_trace::session::publish(&self.inner.tracer, final_now.0);
-            // One publication per simulation even if run() is called again.
-            self.inner.tracer.disable();
+        if let Some(session) = &self.inner.session {
+            if self.inner.tracer.is_enabled() {
+                session.publish(&self.inner.tracer, final_now.0);
+                // One publication per simulation even if run() is called again.
+                self.inner.tracer.disable();
+            }
         }
-        // Ambient captures (`reproduce replay --record`) flow to the
-        // process-wide sink. Publish a snapshot rather than draining:
-        // a workload that armed its own recorder explicitly (x11/x12's
-        // capture machines) still harvests the same events with
-        // `take()` after the run. Disabling stops a second `run` from
-        // publishing the trace twice.
-        if tnt_replay::ambient() && self.inner.recorder.is_enabled() && !self.inner.recorder.is_empty()
-        {
-            tnt_replay::publish(self.inner.recorder.snapshot());
-            self.inner.recorder.disable();
+        // Publish a snapshot rather than draining: a workload that armed
+        // its own recorder explicitly (x11/x12's capture machines) still
+        // harvests the same events with `take()` after the run.
+        // Disabling stops a second `run` from publishing the trace twice.
+        if let Some(capture) = &self.inner.capture {
+            if self.inner.recorder.is_enabled() && !self.inner.recorder.is_empty() {
+                capture.push(self.inner.recorder.snapshot());
+                self.inner.recorder.disable();
+            }
         }
         match error {
             None => Ok(final_now),

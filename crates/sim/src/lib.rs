@@ -12,6 +12,9 @@
 //!   processes are real threads, exactly one of which runs at a time;
 //! - [`RunPolicy`]: the pluggable run-queue policy through which the three
 //!   modelled kernels express their scheduler designs;
+//! - [`Instruments`]: the run options (fault profile, race detector,
+//!   workload capture, profiling session) a thread's simulations boot
+//!   with;
 //! - [`Summary`], [`Series`] and normalisation helpers matching the
 //!   paper's tables (mean, percentage standard deviation, "Norm." column).
 //!
@@ -31,6 +34,7 @@
 mod audit;
 mod chan;
 mod engine;
+mod instruments;
 mod lite;
 mod lock;
 mod policy;
@@ -41,6 +45,7 @@ mod wheel;
 pub use audit::HostGuard;
 pub use chan::SimChannel;
 pub use engine::{Sim, SimConfig, SimError, TraceSpan, WaitId};
+pub use instruments::{Capture, Instruments};
 pub use lock::SimMutex;
 pub use policy::{DispatchEnv, FifoPolicy, Pick, RunPolicy, Tid};
 pub use stats::{normalize_higher_better, normalize_lower_better, Series, Summary};
@@ -65,7 +70,6 @@ pub mod race {
         explore, AccessInfo, AccessKind, Choice, Detector, ExploreReport, Footprint, Loc, Outcome,
         Race, RunResult, SyncId, VClock, WakeSrc,
     };
-    pub use tnt_race::{ambient, set_ambient};
 
     use crate::engine::{Sim, SimConfig};
 
@@ -123,7 +127,7 @@ pub use tnt_trace as trace;
 pub use tnt_fault as fault;
 
 // The workload capture/replay plane the engine hosts (`.tntrace`
-// format, per-sim recorder, ambient capture sink), re-exported so the
-// disk/fs models and the harness share one set of trace types.
+// format, per-sim recorder), re-exported so the disk/fs models and the
+// harness share one set of trace types.
 pub use tnt_replay as replay;
 pub use time::{mb_per_sec, mbit_per_sec, Cycles, CPU_HZ, MEGABIT, MEGABYTE};

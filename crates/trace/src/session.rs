@@ -2,17 +2,19 @@
 //!
 //! Every benchmark entry point in `tnt-core` boots its own short-lived
 //! `Sim`, so profiling an *experiment* means aggregating over many
-//! tracers. A session is a process-global collector: while one is active
-//! (see [`run`]), every newly created `Sim` auto-enables its tracer and
-//! publishes its attribution into the collector when `Sim::run` finishes.
+//! tracers. A session is a collector installed on the calling thread
+//! for the duration of [`run`]: every `Sim` booted on that thread while
+//! it is installed enables its tracer, keeps a handle to the collector
+//! and publishes its attribution into it when `Sim::run` finishes.
 //! Components without a `Sim` (the raw memory-system model) contribute
 //! through [`add_counter`].
 //!
-//! Sessions are serialized by a global lock so concurrently running tests
-//! cannot bleed into each other's reports.
+//! The collector is per thread, so sessions on different threads never
+//! see each other's sims, and a nested [`run`] collects only its own.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -159,94 +161,112 @@ impl SessionReport {
     }
 }
 
-struct SessionState {
+/// A session's collector. Cheap to clone: every `Sim` booted under the
+/// session keeps a clone and publishes into it.
+#[derive(Clone, Debug)]
+pub struct Session(Arc<Collector>);
+
+#[derive(Debug)]
+struct Collector {
     capacity: usize,
-    report: SessionReport,
+    report: Mutex<SessionReport>,
 }
 
-static GATE: Mutex<()> = Mutex::new(());
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<SessionState>> = Mutex::new(None);
+impl Session {
+    fn new(capacity: usize) -> Session {
+        Session(Arc::new(Collector {
+            capacity,
+            report: Mutex::new(SessionReport::default()),
+        }))
+    }
 
-/// Whether a profiling session is currently collecting.
+    /// Ring capacity sims booted under this session enable their
+    /// tracer with.
+    pub fn ring_capacity(&self) -> usize {
+        self.0.capacity
+    }
+
+    /// Folds one finished simulation's tracer into this session.
+    pub fn publish(&self, tracer: &Tracer, elapsed: u64) {
+        let profile = tracer.profile();
+        let mut r = self.0.report.lock();
+        r.sims += 1;
+        r.elapsed += elapsed;
+        r.attributed += profile.attributed;
+        r.unknown_idle += profile.unknown_idle;
+        r.dropped += tracer.dropped();
+        for ((class, name), cy) in tracer.cycles_by_name() {
+            *r.class_cycles.entry((class, name)).or_default() += cy;
+        }
+        for (key, cy) in tracer.folded_map() {
+            *r.folded.entry(key).or_default() += cy;
+        }
+        let snap = tracer.counters().snapshot();
+        for (i, v) in snap.iter().enumerate() {
+            r.counters[i] += v;
+        }
+    }
+}
+
+thread_local! {
+    static CURRENT: RefCell<Option<Session>> = const { RefCell::new(None) };
+}
+
+/// The session installed on the calling thread, if any.
+pub fn current() -> Option<Session> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Runs `f` with `session` installed on the calling thread (`None`: no
+/// session), restoring the previous one when `f` returns or unwinds.
+pub fn scope<T>(session: Option<Session>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Session>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0.take();
+            CURRENT.with(|c| *c.borrow_mut() = prev);
+        }
+    }
+    let _restore = Restore(CURRENT.with(|c| c.replace(session)));
+    f()
+}
+
+/// Whether a profiling session is collecting on the calling thread.
 pub fn active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
+    CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// Ring capacity newly booted sims should enable their tracer with.
 pub fn ring_capacity() -> usize {
-    STATE
-        .lock()
-        .as_ref()
-        .map_or(crate::tracer::DEFAULT_RING_CAPACITY, |s| s.capacity)
+    current().map_or(crate::tracer::DEFAULT_RING_CAPACITY, |s| s.ring_capacity())
 }
 
-/// Folds one finished simulation's tracer into the active session (no-op
-/// when no session is active).
+/// Folds one finished simulation's tracer into the calling thread's
+/// session (no-op when none is installed).
 pub fn publish(tracer: &Tracer, elapsed: u64) {
-    let mut g = STATE.lock();
-    let Some(state) = g.as_mut() else {
-        return;
-    };
-    let profile = tracer.profile();
-    let r = &mut state.report;
-    r.sims += 1;
-    r.elapsed += elapsed;
-    r.attributed += profile.attributed;
-    r.unknown_idle += profile.unknown_idle;
-    r.dropped += tracer.dropped();
-    for ((class, name), cy) in tracer.cycles_by_name() {
-        *r.class_cycles.entry((class, name)).or_default() += cy;
-    }
-    for (key, cy) in tracer.folded_map() {
-        *r.folded.entry(key).or_default() += cy;
-    }
-    let snap = tracer.counters().snapshot();
-    for (i, v) in snap.iter().enumerate() {
-        r.counters[i] += v;
+    if let Some(session) = current() {
+        session.publish(tracer, elapsed);
     }
 }
 
-/// Adds directly to the session's counters — for components that have no
-/// `Sim` (the raw memory-system model). No-op when no session is active.
+/// Adds directly to the calling thread's session counters — for
+/// components that have no `Sim` (the raw memory-system model). No-op
+/// when no session is installed.
 pub fn add_counter(c: Counter, n: u64) {
-    if !active() {
-        return;
-    }
-    if let Some(state) = STATE.lock().as_mut() {
-        state.report.counters[c as usize] += n;
-    }
-}
-
-/// Clears the session flag even if the profiled closure panics.
-struct Deactivate;
-
-impl Drop for Deactivate {
-    fn drop(&mut self) {
-        ACTIVE.store(false, Ordering::Release);
-        *STATE.lock() = None;
-    }
-}
-
-/// Runs `f` with a profiling session active and returns its result plus
-/// the aggregated report. Sessions are globally serialized; nesting one
-/// inside `f` deadlocks, so don't.
-pub fn run<T>(capacity: usize, f: impl FnOnce() -> T) -> (T, SessionReport) {
-    let _gate = GATE.lock();
-    *STATE.lock() = Some(SessionState {
-        capacity,
-        report: SessionReport::default(),
+    CURRENT.with(|cur| {
+        if let Some(session) = &*cur.borrow() {
+            session.0.report.lock().counters[c as usize] += n;
+        }
     });
-    ACTIVE.store(true, Ordering::Release);
-    let cleanup = Deactivate;
-    let out = f();
-    ACTIVE.store(false, Ordering::Release);
-    let report = STATE
-        .lock()
-        .take()
-        .map(|s| s.report)
-        .unwrap_or_default();
-    std::mem::forget(cleanup);
+}
+
+/// Runs `f` with a fresh profiling session installed on the calling
+/// thread and returns its result plus the aggregated report. A session
+/// already installed is set aside while `f` runs and restored after.
+pub fn run<T>(capacity: usize, f: impl FnOnce() -> T) -> (T, SessionReport) {
+    let session = Session::new(capacity);
+    let out = scope(Some(session.clone()), f);
+    let report = std::mem::take(&mut *session.0.report.lock());
     (out, report)
 }
 

@@ -13,6 +13,7 @@ use tnt_core::{mab_local, mab_over_nfs};
 use tnt_harness::{capture_experiment, replay_trace, ReplayOptions, Scale};
 use tnt_os::Os;
 use tnt_sim::fault::FaultProfile;
+use tnt_sim::Instruments;
 
 fn main() {
     println!("== compile farm: the Modified Andrew Benchmark everywhere ==\n");
@@ -75,9 +76,11 @@ fn replay_the_compile() {
     );
 
     let clean = replay_trace(trace, Os::FreeBsd, 1, ReplayOptions::asap());
-    tnt_sim::fault::set_ambient(FaultProfile::lossy());
-    let lossy = replay_trace(trace, Os::FreeBsd, 1, ReplayOptions::asap());
-    tnt_sim::fault::set_ambient(FaultProfile::off());
+    let lossy = Instruments {
+        faults: FaultProfile::lossy(),
+        ..Instruments::current()
+    }
+    .scope(|| replay_trace(trace, Os::FreeBsd, 1, ReplayOptions::asap()));
 
     let ms = |cy: u64| cy as f64 / 100_000.0;
     println!(
