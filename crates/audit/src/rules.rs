@@ -1,4 +1,4 @@
-//! The deny-list: seven determinism/correctness rules tuned to this
+//! The deny-list: eight determinism/correctness rules tuned to this
 //! workspace.
 //!
 //! Each rule is a predicate over the lexed `code` view of a line (see
@@ -31,6 +31,11 @@
 //!   RNG, thread id, hash-order iteration) inside the callee closure
 //!   of an experiment-output sink can leak into a blessed statistic;
 //!   the per-line rules cannot see that reach, this pass can.
+//! * `global-state` — everywhere: a `static` lock, atomic, once cell or
+//!   lazy cell is process-wide state, which one pool job can leave set
+//!   for the next. Run options travel in `tnt_sim::Instruments`,
+//!   scoped to a thread; the few real process-wide values carry a
+//!   reasoned allow.
 
 use crate::lexer::Line;
 
@@ -53,11 +58,14 @@ pub enum Rule {
     /// Nondeterminism source reachable from an experiment-output sink
     /// (the cross-file taint pass in [`crate::taint`]).
     NondetTaint,
+    /// A `static` of type `Mutex`, `RwLock`, `Atomic*`, `Once*` or
+    /// `LazyLock` in non-test code.
+    GlobalState,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::HashmapIter,
         Rule::Wallclock,
         Rule::FloatEq,
@@ -65,6 +73,7 @@ impl Rule {
         Rule::MustUseCycles,
         Rule::HostThreadSpawn,
         Rule::NondetTaint,
+        Rule::GlobalState,
     ];
 
     /// The slug used in reports and `audit:allow(<slug>)` annotations.
@@ -77,6 +86,7 @@ impl Rule {
             Rule::MustUseCycles => "must-use-cycles",
             Rule::HostThreadSpawn => "host-thread-spawn",
             Rule::NondetTaint => "nondet-taint",
+            Rule::GlobalState => "global-state",
         }
     }
 
@@ -102,7 +112,7 @@ impl Rule {
             Rule::HostThreadSpawn => {
                 !path.ends_with("sim/src/engine.rs") && !path.ends_with("runner/src/pool.rs")
             }
-            Rule::NondetTaint => true,
+            Rule::NondetTaint | Rule::GlobalState => true,
         }
     }
 
@@ -135,6 +145,10 @@ impl Rule {
                 "nondeterminism source reachable from an experiment-output sink; anything \
                  feeding an ExperimentRecord/StatLine must be a pure function of the seed"
             }
+            Rule::GlobalState => {
+                "process-wide static state; a value one pool job leaves behind reaches the \
+                 next — pass it explicitly or scope it to a thread (tnt_sim::Instruments)"
+            }
         }
     }
 
@@ -154,6 +168,7 @@ impl Rule {
                     || code.contains("thread::Builder")
                     || code.contains("thread::scope")
             }
+            Rule::GlobalState => global_state_static(code),
         }
     }
 }
@@ -181,6 +196,38 @@ fn has_word(code: &str, word: &str) -> bool {
 
 fn is_ident_char(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Detects `static NAME: T` where `T` names a lock, an atomic, a once
+/// cell or a lazy cell. `&'static` lifetimes and `thread_local!` cells
+/// (`Cell`/`RefCell`) do not hit.
+fn global_state_static(code: &str) -> bool {
+    let bytes = code.as_bytes();
+    let mut from = 0usize;
+    while let Some(pos) = code[from..].find("static ") {
+        let start = from + pos;
+        from = start + "static ".len();
+        if start > 0 && (is_ident_char(bytes[start - 1]) || bytes[start - 1] == b'\'') {
+            continue;
+        }
+        let rest = code[from..].trim_start();
+        let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+        let Some((name, ty)) = rest.split_once(':') else {
+            continue;
+        };
+        if !name.trim().bytes().all(is_ident_char) {
+            continue;
+        }
+        let ty = ty.split('=').next().unwrap_or(ty);
+        return ty
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .any(|w| {
+                matches!(w, "Mutex" | "RwLock" | "LazyLock")
+                    || w.starts_with("Atomic")
+                    || w.starts_with("Once")
+            });
+    }
+    false
 }
 
 /// Detects `==` / `!=` with a float literal on either side.
@@ -405,5 +452,28 @@ mod tests {
         assert!(Rule::HostThreadSpawn.hits_line("std::thread::scope(|s| {})"));
         assert!(!Rule::HostThreadSpawn.hits_line("sim.spawn(\"p\", |s| {})"));
         assert!(!Rule::HostThreadSpawn.hits_line("thread::sleep(dur)"));
+    }
+
+    #[test]
+    fn global_state_detection() {
+        let hit = |code| Rule::GlobalState.hits_line(code);
+        assert!(hit("static N: AtomicU64 = AtomicU64::new(0);"));
+        assert!(hit(
+            "pub(crate) static mut M: Mutex<Vec<u8>> = Mutex::new(Vec::new());"
+        ));
+        assert!(hit(
+            "static S: std::sync::LazyLock<u32> = std::sync::LazyLock::new(|| {"
+        ));
+        assert!(hit("static ONCE: Once = Once::new();"));
+        assert!(hit("static CFG: OnceLock<String> = OnceLock::new();"));
+        assert!(hit(
+            "static R: parking_lot::RwLock<u8> = parking_lot::RwLock::new(0);"
+        ));
+        assert!(!hit(
+            "static CURRENT: RefCell<Option<Session>> = const { RefCell::new(None) };"
+        ));
+        assert!(!hit("static NAME: &'static str = \"x\";"));
+        assert!(!hit("fn f(s: &'static Mutex<u8>) {}"));
+        assert!(!hit("let lock: Mutex<u8> = Mutex::new(0);"));
     }
 }

@@ -156,6 +156,28 @@ fn host_thread_spawn_is_exempt_in_engine_and_pool() {
 }
 
 #[test]
+fn global_state_fixture() {
+    let (findings, stale) = scan(
+        "crates/harness/src/fixture.rs",
+        include_str!("fixtures/global_state.rs"),
+    );
+    let hits = rule_findings(&findings, "global-state");
+    let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        vec![5, 8, 10],
+        "test-module static exempt: {hits:#?}"
+    );
+    assert!(hits[0].allowed.is_none(), "bare static atomic");
+    assert_eq!(
+        hits[1].allowed.as_deref(),
+        Some("set once at start-up, read-only after")
+    );
+    assert!(hits[2].allowed.is_none(), "bare static mutex");
+    assert!(stale.is_empty());
+}
+
+#[test]
 fn fixtures_have_no_cross_rule_noise() {
     // Each fixture should only ever trip its own rule: strings and
     // comments carrying other rules' trigger text must stay inert.
@@ -174,6 +196,11 @@ fn fixtures_have_no_cross_rule_noise() {
             "crates/harness/src/c.rs",
             include_str!("fixtures/float_eq.rs"),
             "float-eq",
+        ),
+        (
+            "crates/harness/src/d.rs",
+            include_str!("fixtures/global_state.rs"),
+            "global-state",
         ),
     ] {
         let (findings, _) = scan(path, src);

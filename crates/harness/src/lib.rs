@@ -14,7 +14,9 @@
 //! runs them — serially, or across host cores via the `tnt-runner`
 //! work-stealing pool (`--jobs N`) — and rendering happens on the main
 //! thread in canonical order, so parallel output is byte-identical to
-//! the serial path. Every experiment also emits a structured
+//! the serial path. [`execute_traced`] runs the same plans with every
+//! shard inside its own trace session, for `--profile` and `--audit`.
+//! Every experiment also emits a structured
 //! [`tnt_runner::ExperimentRecord`] for the golden-baseline store
 //! (`reproduce bless` / `reproduce check`).
 //!
@@ -38,7 +40,7 @@ mod replay;
 mod scale;
 mod table;
 
-pub use ablations::{extra_ids, run_extra};
+pub use ablations::extra_ids;
 pub use audit::{conservation_audit, AuditFinding, AuditReport};
 pub use engine_bench::{
     lite_ring, threaded_ring, threaded_ring_hb, RingResult, RING_CHARGE, RING_SLEEP,
@@ -47,13 +49,10 @@ pub use explore::{
     explore_ids, explore_json, render_explore, run_explore, ExploreOutcome, ExploreScenario,
 };
 pub use farm::{farm_sweep, FarmSweep};
-pub use experiments::{all_ids, bonnie_figures, run_many, run_one, ExperimentOutput};
+pub use experiments::{all_ids, run_many, run_one, ExperimentOutput};
 pub use plan::{execute, plan, Cell, ExperimentPlan, ExperimentResult, PlanBody};
 pub use plot::{Figure, XScale};
-pub use profile::{
-    profile_experiment, profile_ids, profile_one, ProfileOutput, ProfiledSample,
-    PROFILE_RING_CAPACITY,
-};
+pub use profile::{execute_traced, legs, render_profile, ProfileOutput, ShardTrace};
 pub use replay::{
     capture_experiment, desktop_boot_trace, replay_fixture_ids, replay_trace, ReplayMode,
     ReplayOptions, ReplayReport,

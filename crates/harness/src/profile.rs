@@ -1,248 +1,142 @@
-//! Profiled experiment runs (`reproduce --profile`).
+//! Profiled experiment runs (`reproduce --profile` and `--audit`).
 //!
-//! A profile re-runs **one representative sample** of each leg of an
-//! experiment inside a `tnt-trace` session and renders the aggregated
-//! cycle breakdown: which subsystem the simulated Pentium spent its time
-//! in, per OS personality. This is the reproduction's answer to the
-//! paper's "why" questions — Table 5's profile shows Linux's TCP loss is
+//! A profile is a trace of the run itself: [`execute_traced`] wraps
+//! **every shard of the plan** in its own `tnt-trace` session and keeps
+//! each shard's report, so the breakdown describes exactly the samples
+//! the tables and figures were computed from, under `--jobs N` like any
+//! other run. [`render_profile`] merges the shards of each leg (the
+//! shard labels without their run/point suffix) and renders the cycle
+//! breakdown: which subsystem the simulated Pentium spent its time in,
+//! per OS personality. This is the reproduction's answer to the paper's
+//! "why" questions — Table 5's profile shows Linux's TCP loss is
 //! delayed-ACK window stall, Figure 1's shows the O(n) run-queue scan,
 //! Figure 12's shows FreeBSD's synchronous metadata writes.
 
-use tnt_core::{
-    bonnie, crtdel_ms, ctx_us, mab_local, mab_over_nfs, mem_bandwidth, packet_sizes,
-    pipe_bandwidth_mbit, syscall_us, tcp_bandwidth_mbit, udp_bandwidth_mbit, CtxPattern,
-    LibcVariant, MemRoutine, Os,
-};
-use tnt_sim::fault::FaultProfile;
+use std::sync::{Arc, OnceLock};
+
 use tnt_sim::trace::{session, SessionReport};
-use tnt_sim::Instruments;
 
-use crate::scale::Scale;
-
-/// Seed for profiled samples. A profile is one representative run (the
-/// first measurement seed), not a sweep: attribution shares are stable
-/// across seeds because the jitter scales every cost class together.
-const PROFILE_SEED: u64 = 1;
+use crate::plan::{execute, Cell, ExperimentPlan, ExperimentResult, PlanBody};
 
 /// Event-ring capacity for profiled runs. Attribution is online, so a
 /// ring overflow only truncates the raw event dump; drops are counted
 /// and called out in the rendered block, never silent.
-pub const PROFILE_RING_CAPACITY: usize = 1 << 20;
+const PROFILE_RING_CAPACITY: usize = 1 << 20;
 
-/// One profiled sample: its label and aggregated session report.
+/// One traced shard of an executed plan.
 #[derive(Clone, Debug)]
-pub struct ProfiledSample {
-    /// Human label ("Linux", "Linux n=96", "FreeBSD client", ...).
+pub struct ShardTrace {
+    /// Id of the plan the shard belongs to (`"t5"`, `"f9+f10+f11"`).
+    pub plan: &'static str,
+    /// The shard's label (`"t5/Linux/run3"`; the plan id for a
+    /// whole-experiment shard).
     pub label: String,
-    /// The trace session aggregated over every sim the sample booted.
-    pub report: SessionReport,
+    /// The trace session the shard ran in, or `None` if it panicked
+    /// before the session closed.
+    pub report: Option<SessionReport>,
+}
+
+impl ShardTrace {
+    /// The leg the shard belongs to: its label without the leading
+    /// experiment component and the trailing run/point component
+    /// (`"t5/Linux/run3"` → `"Linux"`, `"f1/Solaris-LIFO/x=96"` →
+    /// `"Solaris-LIFO"`). A label with no middle part (a
+    /// whole-experiment shard) is the leg `"all"`.
+    pub(crate) fn leg(&self) -> &str {
+        let head = self.label.rsplit_once('/').map_or("", |(head, _)| head);
+        match head.split_once('/') {
+            Some((_, leg)) if !leg.is_empty() => leg,
+            _ => "all",
+        }
+    }
+}
+
+type Slot = Arc<OnceLock<SessionReport>>;
+
+fn traced<T>(slot: &Slot, f: impl FnOnce() -> T) -> T {
+    let (out, report) = session::run(PROFILE_RING_CAPACITY, f);
+    let _ = slot.set(report);
+    out
+}
+
+/// [`execute`] with every shard run inside its own trace session.
+/// Returns the results, identical to `execute`'s, and one
+/// [`ShardTrace`] per shard in submission order.
+pub fn execute_traced(
+    plans: Vec<ExperimentPlan>,
+    jobs: usize,
+) -> (Vec<ExperimentResult>, Vec<ShardTrace>) {
+    let mut slots: Vec<(&'static str, String, Slot)> = Vec::new();
+    let mut slot_for = |plan: &'static str, label: &str| {
+        let slot = Slot::default();
+        slots.push((plan, label.to_string(), slot.clone()));
+        slot
+    };
+    let plans = plans
+        .into_iter()
+        .map(|plan| {
+            let body = match plan.body {
+                PlanBody::Cells { cells, render } => PlanBody::Cells {
+                    cells: cells
+                        .into_iter()
+                        .map(|cell| {
+                            let slot = slot_for(plan.id, &cell.label);
+                            let work = cell.work;
+                            Cell {
+                                work: Box::new(move || traced(&slot, work)),
+                                ..cell
+                            }
+                        })
+                        .collect(),
+                    render,
+                },
+                PlanBody::Whole { cost, run } => {
+                    let slot = slot_for(plan.id, plan.id);
+                    PlanBody::Whole {
+                        cost,
+                        run: Box::new(move || traced(&slot, run)),
+                    }
+                }
+            };
+            ExperimentPlan { body, ..plan }
+        })
+        .collect();
+    let results = execute(plans, jobs);
+    let shards = slots
+        .into_iter()
+        .map(|(plan, label, slot)| ShardTrace {
+            plan,
+            label,
+            report: Arc::into_inner(slot).and_then(OnceLock::into_inner),
+        })
+        .collect();
+    (results, shards)
+}
+
+/// Each leg of `shards` with its merged report, in order of first
+/// appearance. Shards without a report (they panicked) are skipped.
+pub fn legs<'a>(shards: impl IntoIterator<Item = &'a ShardTrace>) -> Vec<(String, SessionReport)> {
+    let mut legs: Vec<(String, SessionReport)> = Vec::new();
+    for shard in shards {
+        let Some(report) = &shard.report else {
+            continue;
+        };
+        match legs.iter_mut().find(|(leg, _)| leg == shard.leg()) {
+            Some((_, merged)) => merged.merge(report),
+            None => legs.push((shard.leg().to_string(), report.clone())),
+        }
+    }
+    legs
 }
 
 /// The rendered profile of one experiment: a text block to print under
 /// the experiment's table/figure plus folded-stack files to write.
 #[derive(Clone, Debug)]
 pub struct ProfileOutput {
-    /// Experiment id the profile belongs to.
-    pub id: String,
-    /// Rendered breakdown tables, one per sample.
+    /// Rendered breakdown tables, one per leg.
     pub text: String,
     /// Folded-stack exports: (file name, contents), flame-graph ready.
     pub files: Vec<(String, String)>,
-}
-
-/// Experiment ids [`profile_experiment`] understands (t1 is static
-/// configuration — there is nothing to trace).
-pub fn profile_ids() -> Vec<&'static str> {
-    vec![
-        "t2", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11", "f12", "t3",
-        "t4", "f13", "t5", "t6", "t7", "x8",
-    ]
-}
-
-fn sample(label: &str, f: impl FnOnce()) -> ProfiledSample {
-    let ((), report) = session::run(PROFILE_RING_CAPACITY, f);
-    ProfiledSample {
-        label: label.to_string(),
-        report,
-    }
-}
-
-fn mem_profile_curves(id: &str) -> Option<Vec<(&'static str, MemRoutine)>> {
-    let libc = |make: fn(LibcVariant) -> MemRoutine| {
-        vec![
-            ("Linux libc", make(LibcVariant::Linux)),
-            ("FreeBSD libc", make(LibcVariant::FreeBsd)),
-            ("Solaris libc", make(LibcVariant::Solaris)),
-        ]
-    };
-    Some(match id {
-        "f2" => vec![("custom read", MemRoutine::CustomRead)],
-        "f3" => libc(MemRoutine::LibcMemset),
-        "f4" => vec![("naive write", MemRoutine::CustomWriteNaive)],
-        "f5" => vec![("prefetch write", MemRoutine::CustomWritePrefetch)],
-        "f6" => libc(MemRoutine::LibcMemcpy),
-        "f7" => vec![("naive copy", MemRoutine::CustomCopyNaive)],
-        "f8" => vec![("prefetch copy", MemRoutine::CustomCopyPrefetch)],
-        _ => return None,
-    })
-}
-
-/// Runs one representative sample of each leg of experiment `id` under a
-/// trace session. Returns `None` for ids with nothing to profile.
-pub fn profile_experiment(id: &str, scale: &Scale) -> Option<Vec<ProfiledSample>> {
-    let mut out = Vec::new();
-    match id {
-        "t2" => {
-            for os in Os::benchmarked() {
-                out.push(sample(os.label(), || {
-                    syscall_us(os, scale.syscall_iters, PROFILE_SEED);
-                }));
-            }
-        }
-        "f1" => {
-            // Profile both ends of the sweep: the scheduler-scan share
-            // growing with nprocs IS the figure's story.
-            let lo = *scale.ctx_procs.first()?;
-            let hi = *scale.ctx_procs.last()?;
-            for os in Os::benchmarked() {
-                for n in [lo, hi] {
-                    out.push(sample(&format!("{} n={n}", os.label()), || {
-                        ctx_us(os, n, scale.ctx_switches, CtxPattern::Ring, PROFILE_SEED);
-                    }));
-                }
-            }
-        }
-        "f2" | "f3" | "f4" | "f5" | "f6" | "f7" | "f8" => {
-            // The memory benchmarks run outside simulated time; their
-            // profile is the counter bank (miss totals, stall cycles).
-            let buf = 64 * 1024;
-            for (label, routine) in mem_profile_curves(id)? {
-                out.push(sample(label, || {
-                    mem_bandwidth(routine, buf, scale.mem_total, PROFILE_SEED);
-                }));
-            }
-        }
-        "f9" | "f10" | "f11" => {
-            let mb = *scale.bonnie_sizes_mb.first()?;
-            for os in Os::benchmarked() {
-                out.push(sample(os.label(), || {
-                    bonnie(os, mb, scale.bonnie_seeks, PROFILE_SEED);
-                }));
-            }
-        }
-        "f12" => {
-            let size = *scale.crtdel_sizes.first()?;
-            for os in Os::benchmarked() {
-                out.push(sample(os.label(), || {
-                    crtdel_ms(os, size, scale.crtdel_iters, PROFILE_SEED);
-                }));
-            }
-        }
-        "t3" => {
-            for os in Os::benchmarked() {
-                out.push(sample(os.label(), || {
-                    mab_local(os, PROFILE_SEED);
-                }));
-            }
-        }
-        "t4" => {
-            for os in Os::benchmarked() {
-                out.push(sample(os.label(), || {
-                    pipe_bandwidth_mbit(
-                        os,
-                        scale.pipe_total,
-                        tnt_core::BW_PIPE_CHUNK,
-                        PROFILE_SEED,
-                    );
-                }));
-            }
-        }
-        "f13" => {
-            let packet = *packet_sizes().last()?;
-            for os in Os::benchmarked() {
-                out.push(sample(os.label(), || {
-                    udp_bandwidth_mbit(os, packet, scale.udp_total, PROFILE_SEED);
-                }));
-            }
-        }
-        "t5" => {
-            for os in Os::benchmarked() {
-                out.push(sample(os.label(), || {
-                    tcp_bandwidth_mbit(os, scale.tcp_total, tnt_core::BW_TCP_CHUNK, PROFILE_SEED);
-                }));
-            }
-        }
-        "t6" | "t7" => {
-            let server = if id == "t6" { Os::Linux } else { Os::SunOs };
-            for client in Os::benchmarked() {
-                out.push(sample(&format!("{} client", client.label()), || {
-                    mab_over_nfs(client, server, PROFILE_SEED);
-                }));
-            }
-        }
-        "x8" => {
-            // The degraded-but-working regime: the x8 curve's hardest
-            // point (5% loss), where RpcRetransmits and the frame-drop
-            // counters show up next to the normal RPC traffic.
-            let lossy = FaultProfile {
-                net_drop: 0.05,
-                rpc_request_drop: 0.05,
-                rpc_reply_drop: 0.05,
-                ..FaultProfile::off()
-            };
-            out.push(sample("FreeBSD client, 5% RPC loss", move || {
-                Instruments {
-                    faults: lossy,
-                    ..Instruments::current()
-                }
-                .scope(|| mab_over_nfs(Os::FreeBsd, Os::SunOs, PROFILE_SEED));
-            }));
-            // Retry exhaustion: every reply is dropped, so the client's
-            // first (lazy) root LOOKUP burns all its retries — backoff
-            // doubling from 700 ms toward the 60 s cap — and fails with
-            // ETIMEDOUT. RpcMajorTimeouts must be visible here: this is
-            // the only place the suite exercises a *failed* RPC.
-            out.push(sample("retry exhaustion, 100% reply loss", || {
-                let dead = FaultProfile {
-                    rpc_reply_drop: 1.0,
-                    ..FaultProfile::off()
-                };
-                let (sim, kernels) = Instruments {
-                    faults: dead,
-                    ..Instruments::current()
-                }
-                .scope(|| tnt_os::boot_cluster(&[Os::FreeBsd, Os::SunOs], PROFILE_SEED));
-                let client_k = kernels[0].clone();
-                let server_k = kernels[1].clone();
-                let net = tnt_net::Net::ethernet_10mbit();
-                let client_host = net.register_host(&client_k);
-                let server_host = net.register_host(&server_k);
-                let server_fs = tnt_fs::SimFs::fresh_for_os(Os::SunOs);
-                server_k.mount(server_fs.clone());
-                let server = tnt_nfs::serve(
-                    &net,
-                    &server_k,
-                    server_host,
-                    server_fs,
-                    tnt_nfs::NfsServerConfig::for_os(Os::SunOs),
-                )
-                .expect("nfsd start");
-                let mount =
-                    tnt_nfs::NfsClient::mount(&net, &client_k, client_host, server.addr())
-                        .expect("mount");
-                client_k.mount(mount);
-                client_k.spawn_user("stat-timeout", |p| {
-                    // The stat drives the mount's first RPC; with every
-                    // reply lost it must come back ETIMEDOUT.
-                    let _ = p.stat("/");
-                    p.sim().stop();
-                });
-                sim.run().expect("timeout sim failed");
-            }));
-        }
-        _ => return None,
-    }
-    Some(out)
 }
 
 fn slug(label: &str) -> String {
@@ -258,106 +152,124 @@ fn slug(label: &str) -> String {
         .collect()
 }
 
-/// Profiles experiment `id` and renders the result: breakdown tables for
-/// printing plus `.folded` flame-graph exports.
-pub fn profile_one(id: &str, scale: &Scale) -> Option<ProfileOutput> {
-    let samples = profile_experiment(id, scale)?;
+/// Renders the profile of plan `id` from its traced shards: one
+/// breakdown table per leg plus `{id}_{leg}.folded` flame-graph exports.
+/// A leg that traced nothing (no sim, no counter: Table 1 is static
+/// configuration) renders nothing.
+pub fn render_profile(id: &str, shards: &[ShardTrace]) -> ProfileOutput {
     let mut text = String::new();
     let mut files = Vec::new();
-    for s in &samples {
-        text.push_str(&s.report.render(&s.label));
-        let folded = s.report.folded_text();
+    for (leg, report) in legs(shards.iter().filter(|s| s.plan == id)) {
+        if report.sims == 0 && report.counters.iter().all(|&n| n == 0) {
+            continue;
+        }
+        text.push_str(&report.render(&leg));
+        let folded = report.folded_text();
         if !folded.is_empty() {
-            files.push((format!("{id}_{}.folded", slug(&s.label)), folded));
+            files.push((format!("{id}_{}.folded", slug(&leg)), folded));
         }
     }
-    Some(ProfileOutput {
-        id: id.to_string(),
-        text,
-        files,
-    })
+    ProfileOutput { text, files }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::plan;
+    use crate::scale::Scale;
     use tnt_sim::trace::{Class, Counter};
+
+    fn one_run() -> Scale {
+        Scale {
+            runs: 1,
+            ..Scale::smoke()
+        }
+    }
+
+    fn shard(label: &str) -> ShardTrace {
+        ShardTrace {
+            plan: "t5",
+            label: label.into(),
+            report: None,
+        }
+    }
+
+    #[test]
+    fn legs_drop_the_experiment_and_run_components() {
+        assert_eq!(shard("t5/Linux/run3").leg(), "Linux");
+        assert_eq!(shard("f1/Solaris-LIFO/x=96").leg(), "Solaris-LIFO");
+        assert_eq!(shard("bonnie/FreeBSD/4MB").leg(), "FreeBSD");
+        assert_eq!(shard("x8").leg(), "all");
+        assert_eq!(shard("boom/ok").leg(), "all");
+    }
 
     #[test]
     fn t2_profile_attributes_trap_time() {
-        let samples = profile_experiment("t2", &Scale::smoke()).unwrap();
-        assert_eq!(samples.len(), 3);
-        for s in &samples {
-            assert!(s.report.sims > 0, "{}: no sims published", s.label);
+        let (results, shards) = execute_traced(plan(&["t2"], &one_run()), 1);
+        assert!(results[0].error.is_none());
+        assert_eq!(shards.len(), 3, "one shard per OS at one run");
+        for s in &shards {
+            let r = s.report.as_ref().expect("shard traced");
+            assert!(r.sims > 0, "{}: no sims published", s.label);
             assert!(
-                s.report.class_total(Class::TrapEntry) > 0,
+                r.class_total(Class::TrapEntry) > 0,
                 "{}: getpid must spend cycles in trap entry",
                 s.label
             );
-            assert!(s.report.counter(Counter::Syscalls) > 0);
+            assert!(r.counter(Counter::Syscalls) > 0);
             assert!(
-                s.report.coverage() > 0.9,
+                r.coverage() > 0.9,
                 "{}: coverage {:.3}",
                 s.label,
-                s.report.coverage()
+                r.coverage()
             );
         }
     }
 
     #[test]
     fn mem_profile_is_counters_only() {
-        let samples = profile_experiment("f2", &Scale::smoke()).unwrap();
-        let r = &samples[0].report;
+        let (_, shards) = execute_traced(plan(&["f2"], &one_run()), 1);
+        let legs = legs(&shards);
+        assert_eq!(legs.len(), 1, "one curve, one leg");
+        let r = &legs[0].1;
         assert_eq!(r.sims, 0, "bandwidth loops boot no sim");
         assert!(r.counter(Counter::L1Misses) > 0);
         assert!(r.counter(Counter::MemStallCycles) > 0);
     }
 
     #[test]
-    fn profile_one_renders_and_exports() {
-        let out = profile_one("t4", &Scale::smoke()).unwrap();
+    fn render_profile_prints_legs_and_exports() {
+        let (_, shards) = execute_traced(plan(&["t4"], &one_run()), 1);
+        let out = render_profile("t4", &shards);
         assert!(out.text.contains("profile: Linux"), "{}", out.text);
         assert!(out.text.contains("data copy"), "{}", out.text);
-        assert!(!out.files.is_empty());
-        assert!(out.files.iter().all(|(name, _)| name.ends_with(".folded")));
+        assert_eq!(out.files.len(), 3, "one folded file per OS leg");
+        assert!(out.files.iter().any(|(name, _)| name == "t4_linux.folded"));
+        assert!(render_profile("t2", &shards).text.is_empty());
     }
 
     #[test]
     fn x8_profile_surfaces_the_fault_counters() {
-        let samples = profile_experiment("x8", &Scale::smoke()).unwrap();
-        assert_eq!(samples.len(), 2);
-        let lossy = &samples[0].report;
+        // x8 is one whole-experiment shard: its profile is the whole
+        // drop-rate sweep, lossy points included.
+        let (_, shards) = execute_traced(plan(&["x8"], &one_run()), 1);
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].leg(), "all");
+        let r = shards[0].report.as_ref().expect("x8 traced");
         assert!(
-            lossy.counter(Counter::RpcRetransmits) > 0,
-            "5% loss must force retransmissions"
+            r.counter(Counter::RpcRetransmits) > 0,
+            "the lossy points must force retransmissions"
         );
-        let dead = &samples[1].report;
-        assert!(
-            dead.counter(Counter::RpcMajorTimeouts) > 0,
-            "total reply loss must exhaust the retries"
-        );
-        // The rendered block only prints non-zero counters, so the
-        // major-timeout line must survive into --profile output.
-        let text = dead.render("retry exhaustion, 100% reply loss");
-        assert!(
-            text.contains("rpc major timeouts") || text.contains("RpcMajorTimeouts"),
-            "major timeouts missing from render:\n{text}"
-        );
+        let out = render_profile("x8", &shards);
+        assert!(out.text.contains("profile: all"), "{}", out.text);
+        assert!(out.text.contains("rpc retransmits="), "{}", out.text);
     }
 
     #[test]
     fn unknown_or_static_ids_yield_no_profile() {
-        assert!(profile_one("t1", &Scale::smoke()).is_none());
-        assert!(profile_one("zzz", &Scale::smoke()).is_none());
-    }
-
-    #[test]
-    fn profile_ids_all_resolve() {
-        // Every advertised id must produce samples (cheap check on the
-        // dispatch only: smoke scale keeps this a few seconds).
-        for id in ["t2", "f2", "f12"] {
-            assert!(profile_ids().contains(&id));
-            assert!(profile_experiment(id, &Scale::smoke()).is_some());
-        }
+        let (_, shards) = execute_traced(plan(&["t1"], &one_run()), 1);
+        assert_eq!(shards.len(), 1, "t1 is one traced shard");
+        assert!(render_profile("t1", &shards).text.is_empty());
+        assert!(render_profile("zzz", &shards).files.is_empty());
     }
 }

@@ -1,9 +1,13 @@
 //! The parallel runner's core guarantee: `--jobs N` produces
 //! byte-identical output to the serial path — rendered text, CSV
-//! series and `baselines.json` alike — and a panicking shard fails
-//! only its own experiment.
+//! series, `baselines.json`, and the `--profile`/`--audit` output of a
+//! traced run alike — and a panicking shard fails only its own
+//! experiment.
 
-use tnt_harness::{all_ids, execute, extra_ids, plan, Cell, ExperimentPlan, PlanBody, Scale};
+use tnt_harness::{
+    all_ids, conservation_audit, execute, execute_traced, extra_ids, plan, render_profile, Cell,
+    ExperimentPlan, PlanBody, Scale,
+};
 use tnt_runner::BaselineStore;
 use tnt_sim::fault::FaultProfile;
 use tnt_sim::Instruments;
@@ -77,6 +81,62 @@ fn intermediate_job_counts_agree_too() {
     let reference = run_suite(1).text;
     for jobs in [2, 5] {
         assert_eq!(run_suite(jobs).text, reference, "jobs={jobs} diverged");
+    }
+}
+
+/// What `--profile` and `--audit` print and write for one traced
+/// smoke run: the profile text, the folded-stack files, the audit block.
+struct Traced {
+    text: String,
+    folded: Vec<(String, String)>,
+    audit: String,
+}
+
+fn traced_suite(jobs: usize) -> Traced {
+    let (results, shards) = execute_traced(plan(&suite_ids(), &Scale::smoke()), jobs);
+    let mut text = String::new();
+    let mut folded = Vec::new();
+    for result in &results {
+        assert!(result.error.is_none(), "{}: {:?}", result.id, result.error);
+        let profile = render_profile(result.id, &shards);
+        text.push_str(&profile.text);
+        folded.extend(profile.files);
+    }
+    Traced {
+        text,
+        folded,
+        audit: conservation_audit(&shards, false).render(),
+    }
+}
+
+#[test]
+fn traced_profile_and_audit_are_byte_identical_across_jobs() {
+    let reference = traced_suite(1);
+    assert!(
+        reference.audit.contains("every cycle attributed"),
+        "{}",
+        reference.audit
+    );
+    assert!(
+        reference.text.contains("profile: all"),
+        "whole shards traced"
+    );
+    for jobs in [2, 8] {
+        let run = traced_suite(jobs);
+        assert_eq!(
+            run.text, reference.text,
+            "jobs={jobs}: profile text diverged"
+        );
+        assert_eq!(run.audit, reference.audit, "jobs={jobs}: audit diverged");
+        let names = |t: &Traced| t.folded.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        assert_eq!(
+            names(&run),
+            names(&reference),
+            "jobs={jobs}: folded file set"
+        );
+        for ((name, body), (_, want)) in run.folded.iter().zip(&reference.folded) {
+            assert_eq!(body, want, "jobs={jobs}: {name} diverged");
+        }
     }
 }
 

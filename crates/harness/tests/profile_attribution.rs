@@ -1,5 +1,6 @@
-//! The payoff tests for `--profile`: the cycle breakdowns must *explain*
-//! the paper's headline results, not just decorate them.
+//! The payoff tests for `--profile`: the cycle breakdowns of the traced
+//! run must *explain* the paper's headline results, not just decorate
+//! them.
 //!
 //! - Table 5: Linux's 0.38x TCP bandwidth is delayed-ack/window stall,
 //!   not protocol CPU.
@@ -10,60 +11,82 @@
 //! - And across personalities, the attribution accounts for (nearly) all
 //!   elapsed cycles — the instrumentation has no blind spots.
 
-use tnt_harness::{profile_experiment, ProfiledSample, Scale};
-use tnt_sim::trace::{Class, Counter};
+use tnt_harness::{execute_traced, legs, plan, Scale, ShardTrace};
+use tnt_sim::trace::{Class, Counter, SessionReport};
 
-fn find<'a>(samples: &'a [ProfiledSample], label: &str) -> &'a ProfiledSample {
-    samples
+/// Traces every shard of experiment `id` at `scale`.
+fn traced(id: &str, scale: &Scale) -> Vec<ShardTrace> {
+    let (results, shards) = execute_traced(plan(&[id], scale), 2);
+    assert!(results[0].error.is_none(), "{id}: {:?}", results[0].error);
+    shards
+}
+
+fn leg(shards: &[ShardTrace], name: &str) -> SessionReport {
+    let legs = legs(shards);
+    let names: Vec<&str> = legs.iter().map(|(l, _)| l.as_str()).collect();
+    legs.iter()
+        .find(|(l, _)| l == name)
+        .unwrap_or_else(|| panic!("no leg {name:?} in {names:?}"))
+        .1
+        .clone()
+}
+
+fn shard<'a>(shards: &'a [ShardTrace], label: &str) -> &'a SessionReport {
+    shards
         .iter()
         .find(|s| s.label == label)
+        .and_then(|s| s.report.as_ref())
         .unwrap_or_else(|| {
-            let labels: Vec<&str> = samples.iter().map(|s| s.label.as_str()).collect();
-            panic!("no sample labelled {label:?} in {labels:?}")
+            let labels: Vec<&str> = shards.iter().map(|s| s.label.as_str()).collect();
+            panic!("no traced shard {label:?} in {labels:?}")
         })
 }
 
-fn share(s: &ProfiledSample, class: Class) -> f64 {
-    s.report.class_total(class) as f64 / s.report.elapsed.max(1) as f64
+fn share(r: &SessionReport, class: Class) -> f64 {
+    r.class_total(class) as f64 / r.elapsed.max(1) as f64
 }
 
 #[test]
 fn t5_linux_loses_to_delayed_ack_wait() {
-    let samples = profile_experiment("t5", &Scale::quick()).unwrap();
-    let linux = find(&samples, "Linux");
-    let (top_class, _) = linux.report.by_class()[0];
+    let shards = traced("t5", &Scale::quick());
+    let linux = leg(&shards, "Linux");
+    let (top_class, _) = linux.by_class()[0];
     assert_eq!(
         top_class,
         Class::AckWindowWait,
         "Linux TCP's largest cost class must be the delayed-ack/window \
          stall:\n{}",
-        linux.report.render("Linux")
+        linux.render("Linux")
     );
     assert!(
-        linux.report.counter(Counter::DelayedAcks) > 0,
+        linux.counter(Counter::DelayedAcks) > 0,
         "every Linux segment waits out a delayed ack"
     );
     // FreeBSD streams against a real window: no ack stall at all, and
     // protocol CPU on top.
-    let freebsd = find(&samples, "FreeBSD");
-    assert_eq!(freebsd.report.class_total(Class::AckWindowWait), 0);
-    assert_eq!(freebsd.report.by_class()[0].0, Class::ProtoCpu);
-    assert_eq!(freebsd.report.counter(Counter::DelayedAcks), 0);
+    let freebsd = leg(&shards, "FreeBSD");
+    assert_eq!(freebsd.class_total(Class::AckWindowWait), 0);
+    assert_eq!(freebsd.by_class()[0].0, Class::ProtoCpu);
+    assert_eq!(freebsd.counter(Counter::DelayedAcks), 0);
 }
 
 #[test]
 fn f1_linux_sched_scan_grows_with_nprocs() {
-    let scale = Scale::quick();
-    let samples = profile_experiment("f1", &scale).unwrap();
-    let lo = *scale.ctx_procs.first().unwrap();
-    let hi = *scale.ctx_procs.last().unwrap();
-    let small = find(&samples, &format!("Linux n={lo}"));
-    let big = find(&samples, &format!("Linux n={hi}"));
+    let quick = Scale::quick();
+    let lo = *quick.ctx_procs.first().unwrap();
+    let hi = *quick.ctx_procs.last().unwrap();
+    let scale = Scale {
+        ctx_procs: vec![lo, hi],
+        runs: 1,
+        ..quick
+    };
+    let shards = traced("f1", &scale);
+    let small = shard(&shards, &format!("f1/Linux/x={lo}"));
+    let big = shard(&shards, &format!("f1/Linux/x={hi}"));
     // The O(n) scan shows up as per-switch scheduler cost growing with
     // the number of runnable processes...
-    let per_switch = |s: &ProfiledSample| {
-        s.report.class_total(Class::SchedScan) as f64
-            / s.report.counter(Counter::Dispatches).max(1) as f64
+    let per_switch = |r: &SessionReport| {
+        r.class_total(Class::SchedScan) as f64 / r.counter(Counter::Dispatches).max(1) as f64
     };
     assert!(
         per_switch(big) > 3.0 * per_switch(small),
@@ -82,22 +105,24 @@ fn f1_linux_sched_scan_grows_with_nprocs() {
 #[test]
 fn f12_freebsd_pays_synchronous_metadata_writes() {
     let scale = Scale::quick();
-    let samples = profile_experiment("f12", &scale).unwrap();
-    let freebsd = find(&samples, "FreeBSD");
-    let linux = find(&samples, "Linux");
-    let iters = scale.crtdel_iters as u64;
-    let fb_sync = freebsd.report.counter(Counter::SyncMetaWrites);
+    let shards = traced("f12", &scale);
+    let size = scale.crtdel_sizes[0];
+    let freebsd = shard(&shards, &format!("f12/FreeBSD/x={size}"));
+    let linux = shard(&shards, &format!("f12/Linux/x={size}"));
+    // A figure shard covers every run at its point.
+    let iters = scale.crtdel_iters as u64 * scale.runs;
+    let fb_sync = freebsd.counter(Counter::SyncMetaWrites);
     assert!(
         fb_sync >= 4 * iters,
         "FFS pays at least four synchronous metadata writes per \
          create/delete: {fb_sync} over {iters} iterations"
     );
     assert!(
-        fb_sync > linux.report.counter(Counter::SyncMetaWrites),
+        fb_sync > linux.counter(Counter::SyncMetaWrites),
         "Linux's asynchronous metadata policy writes less synchronously"
     );
-    let disk = |s: &ProfiledSample| {
-        share(s, Class::DiskSeek) + share(s, Class::DiskRotation) + share(s, Class::DiskMedia)
+    let disk = |r: &SessionReport| {
+        share(r, Class::DiskSeek) + share(r, Class::DiskRotation) + share(r, Class::DiskMedia)
     };
     assert!(
         disk(freebsd) > disk(linux),
@@ -111,13 +136,14 @@ fn f12_freebsd_pays_synchronous_metadata_writes() {
 fn attribution_covers_at_least_ninety_percent_everywhere() {
     let scale = Scale::quick();
     for id in ["t5", "f12", "t2"] {
-        for s in profile_experiment(id, &scale).unwrap() {
+        for s in traced(id, &scale) {
+            let r = s.report.as_ref().expect("every shard traced");
             assert!(
-                s.report.coverage() >= 0.90,
-                "{id}/{}: only {:.1}% of elapsed cycles attributed:\n{}",
+                r.coverage() >= 0.90,
+                "{}: only {:.1}% of elapsed cycles attributed:\n{}",
                 s.label,
-                100.0 * s.report.coverage(),
-                s.report.render(&s.label)
+                100.0 * r.coverage(),
+                r.render(&s.label)
             );
         }
     }

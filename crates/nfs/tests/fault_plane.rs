@@ -13,6 +13,7 @@ use tnt_net::Net;
 use tnt_nfs::{serve, NfsClient, NfsServerConfig};
 use tnt_os::{boot_cluster, Errno, Kernel, OpenFlags, Os, UProc};
 use tnt_sim::fault::FaultProfile;
+use tnt_sim::trace::{session, Counter};
 use tnt_sim::Instruments;
 
 struct Rig {
@@ -154,24 +155,32 @@ fn injected_reply_loss_exercises_the_dup_cache() {
 
 #[test]
 fn total_reply_loss_times_out_with_etimedout() {
-    // Satellite bugfix regression: retry exhaustion must surface as
-    // ETIMEDOUT (not EIO) and be counted as a major timeout.
-    let r = rig(
-        FaultProfile {
-            rpc_reply_drop: 1.0,
-            ..FaultProfile::off()
-        },
-        2,
-    );
-    let err = Arc::new(Mutex::new(None));
-    let e2 = err.clone();
-    run_client(&r, move |p| {
-        *e2.lock() = p.stat("/anything").err();
+    // Retry exhaustion must surface as ETIMEDOUT (not EIO) and be
+    // counted as a major timeout, by the mount and by the trace counter
+    // `--profile` prints.
+    let (r, report) = session::run(1 << 16, || {
+        let r = rig(
+            FaultProfile {
+                rpc_reply_drop: 1.0,
+                ..FaultProfile::off()
+            },
+            2,
+        );
+        let err = Arc::new(Mutex::new(None));
+        let e2 = err.clone();
+        run_client(&r, move |p| {
+            *e2.lock() = p.stat("/anything").err();
+        });
+        assert_eq!(*err.lock(), Some(Errno::ETIMEDOUT));
+        r
     });
-    assert_eq!(*err.lock(), Some(Errno::ETIMEDOUT));
     assert!(
         r.mount.major_timeouts() >= 1,
         "exhaustion must be accounted as a major timeout"
+    );
+    assert!(
+        report.counter(Counter::RpcMajorTimeouts) > 0,
+        "the traced run must count the major timeout"
     );
 }
 

@@ -215,6 +215,7 @@ impl Parker {
         // cheaper than a futex round trip. On a single CPU the unparker
         // cannot be running concurrently, so spinning only delays the
         // kernel from scheduling it — skip straight to the sleep.
+        // audit:allow(global-state) a host property computed once, read-only after; no simulated state
         static SPIN: std::sync::LazyLock<u32> = std::sync::LazyLock::new(|| {
             if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
                 64
@@ -498,6 +499,7 @@ impl Drop for LitePollGuard {
 /// kill-unwind while delegating every real panic to the previous hook.
 fn install_quiet_kill_hook() {
     use std::sync::Once;
+    // audit:allow(global-state) the panic hook is process-wide by nature; installing it once changes no run
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let prev = panic::take_hook();

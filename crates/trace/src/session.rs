@@ -77,6 +77,25 @@ impl SessionReport {
         self.counters[c as usize]
     }
 
+    /// Adds `other` into this report, as if its sims had published
+    /// into this session too.
+    pub fn merge(&mut self, other: &SessionReport) {
+        self.sims += other.sims;
+        self.elapsed += other.elapsed;
+        self.attributed += other.attributed;
+        self.unknown_idle += other.unknown_idle;
+        self.dropped += other.dropped;
+        for (key, cy) in &other.class_cycles {
+            *self.class_cycles.entry(key.clone()).or_default() += cy;
+        }
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            *a += b;
+        }
+        for (key, cy) in &other.folded {
+            *self.folded.entry(key.clone()).or_default() += cy;
+        }
+    }
+
     /// Checks cycle conservation: with tracing enabled, the simulated
     /// clock only moves through `Charge`, `Dispatch` and `Idle` events,
     /// every one of which the tracer attributes to a class — so the
@@ -379,6 +398,38 @@ mod tests {
         let ((), report) = run(16, || {});
         assert_eq!(report.sims, 0);
         assert_eq!(report.counter(Counter::Forks), 0);
+    }
+
+    #[test]
+    fn merge_equals_one_session_over_both() {
+        let publish_one = |t: u64, class: Class| {
+            let tr = Tracer::new();
+            tr.enable(16);
+            tr.record(Event {
+                t: 0,
+                pid: 1,
+                kind: EventKind::Enter(class),
+            });
+            tr.record(Event {
+                t,
+                pid: 1,
+                kind: EventKind::Charge { cy: t },
+            });
+            tr.count(Counter::Syscalls, t);
+            publish(&tr, t);
+        };
+        let ((), a) = run(16, || publish_one(3, Class::TrapEntry));
+        let ((), b) = run(16, || publish_one(5, Class::ProtoCpu));
+        let ((), both) = run(16, || {
+            publish_one(3, Class::TrapEntry);
+            publish_one(5, Class::ProtoCpu);
+        });
+        let mut merged = a.clone();
+        merged.merge(&b);
+        assert_eq!(merged.sims, 2);
+        assert_eq!(merged.render("x"), both.render("x"));
+        assert_eq!(merged.folded_text(), both.folded_text());
+        merged.conservation().expect("merging keeps conservation");
     }
 
     #[test]
