@@ -796,6 +796,18 @@ mod tests {
     }
 
     #[test]
+    fn bonnie_figures_share_one_sweep() {
+        let scale = Scale::smoke();
+        assert_eq!(plan(&["f9", "f10", "f11"], &scale).len(), 1);
+        let outs: Vec<_> = execute(vec![plan_bonnie(&scale)], 1)
+            .into_iter()
+            .flat_map(|r| r.outputs)
+            .collect();
+        let ids: Vec<_> = outs.iter().map(|o| o.id).collect();
+        assert_eq!(ids, vec!["f9", "f10", "f11"]);
+    }
+
+    #[test]
     fn run_many_deduplicates_bonnie() {
         let outs = run_many(&["f9", "f10", "f11"], &Scale::smoke());
         let ids: Vec<_> = outs.iter().map(|o| o.id).collect();
